@@ -21,7 +21,7 @@
 //! `--seed N`, and `--out DIR` (write CSV + JSON-lines there). Defaults are
 //! laptop-scale and finish in seconds; the *shape* of results (ordering of
 //! schemes, crossovers) is what should match the paper, not absolute
-//! numbers — see EXPERIMENTS.md.
+//! numbers — the table above names the paper artifact behind each binary.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

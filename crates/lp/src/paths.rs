@@ -20,6 +20,19 @@
 //! (edge-disjoint, Yen, widest) yield the empty set, while the
 //! single-shortest-path oracle returns the zero-hop path exactly as
 //! `Topology::shortest_path` does.
+//!
+//! The hop-count oracles find each path — the k successive banned searches
+//! of the edge-disjoint oracle, Yen's spur searches, and a cold source's
+//! first paths — as *the lex-min shortest path* of the banned residual
+//! graph, which is exactly what BFS over id-sorted adjacency returns. That
+//! path is unique, so it can be computed in any search order: a
+//! bidirectional, layer-synchronous bitset search grows distance layers
+//! from both endpoints (the sparser front first, hub adjacency rows folded
+//! in 64 neighbors per word) until they meet, then a greedy walk over the
+//! shortest-path layers reads the lex-min path off (see
+//! `BfsWorkspace::lexmin_path`). A source asked for many destinations
+//! switches to one full BFS tree, which wins when every destination of a
+//! source is wanted.
 
 use spider_topology::Topology;
 use spider_types::{ChannelId, Direction, NodeId};
@@ -92,9 +105,9 @@ impl Path {
 }
 
 /// Nodes at or above this degree get an adjacency *bitset* row next to
-/// their CSR row: the reverse layer sweep ORs 64 neighbors per word
+/// their CSR row: the bidirectional layer search ORs 64 neighbors per word
 /// instead of scanning the row edge by edge, which is where the hub-heavy
-/// scale-free graphs spend most of their BFS time.
+/// scale-free graphs spend most of their search time.
 const HUB_MIN_DEG: usize = 16;
 
 /// Upper bound on the hub-bitset arena (in 8-byte words, 32 MiB) so giant
@@ -108,10 +121,10 @@ const HUB_BITS_MAX_WORDS: usize = 1 << 22;
 /// the same static graph, so they scan this single contiguous
 /// `(neighbor, channel)` array instead — same entries, same per-node
 /// sorted order (traversal order, and therefore every result, is
-/// unchanged) — plus adjacency *bitset* rows for hubs, which the reverse
-/// layer sweep folds in 64 neighbors at a time. Build it once and share
-/// it across every [`SourceOracle`] of a batch; it is immutable and
-/// `Sync`.
+/// unchanged) — plus adjacency *bitset* rows for hubs, which the
+/// bidirectional layer search folds in 64 neighbors at a time, from
+/// whichever end it is growing. Build it once and share it across every
+/// [`SourceOracle`] of a batch; it is immutable and `Sync`.
 #[derive(Debug, Clone)]
 pub struct CsrGraph {
     /// `offsets[u]..offsets[u + 1]` indexes node `u`'s adjacency slice.
@@ -136,7 +149,7 @@ pub struct CsrGraph {
     /// so whole-word ORs stay exact for free).
     disabled_bits: Vec<u64>,
     /// Per node: how many of its incident channels are disabled (powers
-    /// the check-free row tier and the hub feasibility shortcut).
+    /// the check-free row tier).
     disabled_deg: Vec<u32>,
 }
 
@@ -184,10 +197,9 @@ impl CsrGraph {
 
     /// Enables or disables one channel in O(1) — no reflattening. A
     /// disabled channel is invisible to every oracle rooted on this graph:
-    /// CSR-row sweeps skip it, hub bitset rows have its endpoint bits
-    /// cleared, feasibility probes discount it. Results over the enabled
-    /// subgraph are bit-identical (as node sequences) to a cold build of
-    /// the filtered topology.
+    /// CSR-row sweeps skip it and hub bitset rows have its endpoint bits
+    /// cleared. Results over the enabled subgraph are bit-identical (as
+    /// node sequences) to a cold build of the filtered topology.
     pub fn set_channel_enabled(&mut self, topo: &Topology, c: ChannelId, enabled: bool) {
         let ci = c.index() as u32;
         let currently_enabled = !bit_get(&self.disabled_bits, ci);
@@ -264,6 +276,12 @@ impl CsrGraph {
         &self.neighbors[lo..hi]
     }
 
+    /// True when `u` has an adjacency bitset row.
+    #[inline]
+    fn is_hub(&self, u: u32) -> bool {
+        self.hub_row[u as usize] != u32::MAX
+    }
+
     /// `u`'s adjacency bitset row, if it is a hub.
     #[inline]
     fn hub_bits_row(&self, u: u32) -> Option<&[u64]> {
@@ -300,70 +318,45 @@ fn bit_clear(bits: &mut [u64], i: u32) {
     bits[(i / 64) as usize] &= !(1u64 << (i % 64));
 }
 
-/// Reusable search state: epoch-stamped ban flags, the tree-build BFS
-/// buffers, and the reverse layer sweep's bitsets.
+/// Channel and node bans of the current ban epoch.
 ///
-/// The oracles run several searches per destination and serve many
-/// destinations per source. Instead of clearing ban/visited arrays
-/// between searches (O(n + m) writes each), channel bans are one-byte
-/// stamps compared against the current epoch — bumping the epoch
-/// invalidates them in O(1) (with a full clear every 255 generations) —
-/// and the arrays are small enough to stay cache-resident at Ripple
-/// scale. Bans accumulate across the successive searches of one
+/// Instead of clearing ban arrays between searches (O(n + m) writes each),
+/// channel bans are one-byte stamps compared against the current epoch —
+/// bumping the epoch invalidates them in O(1) (with a full clear every 255
+/// generations). Bans accumulate across the successive searches of one
 /// destination (edge disjointness) while each search gets fresh visited
-/// state. The membership *semantics* are the ones BFS over sorted
-/// adjacency always had, so results are bit-identical to the per-pair
-/// oracles of earlier trees.
+/// state.
 #[derive(Debug)]
-struct BfsWorkspace {
+struct Bans {
     banned_channel: Vec<u8>,
     /// Banned nodes (bitset; Yen's spur roots). Swept layers are masked
     /// against it, which is exactly BFS refusing to visit those nodes.
     banned_node_bits: Vec<u64>,
-    seen: Vec<u8>,
-    /// Fixed-size FIFO for the tree build (manual length, one slot of
-    /// slack).
-    fifo: Vec<u32>,
-    /// Nodes discovered by the reverse layer sweep (bitset, cleared per
-    /// search — a handful of word writes).
-    visited_bits: Vec<u64>,
     /// Endpoints of currently banned channels (bitset, cleared per ban
     /// epoch). A swept node outside this set has only unbanned channels,
     /// so its row is folded in without per-edge ban checks.
     ban_touched_bits: Vec<u64>,
-    /// Distance layers of the reverse sweep: `layer_bits[t]` holds the
-    /// nodes at residual distance `t` from the sweep's root.
-    layer_bits: Vec<Vec<u64>>,
-    /// Recycled layer buffers.
-    spare_bits: Vec<Vec<u64>>,
     ban_epoch: u8,
-    bfs_epoch: u8,
     /// Whether any node ban is set this ban epoch (channel-only ban sets
     /// — the edge-disjoint oracle — skip the node masking entirely).
     node_bans: bool,
 }
 
-impl BfsWorkspace {
+impl Bans {
     fn new(n_nodes: usize, n_channels: usize) -> Self {
-        BfsWorkspace {
+        Bans {
             banned_channel: vec![0; n_channels],
             banned_node_bits: vec![0; n_nodes.div_ceil(64)],
-            seen: vec![0; n_nodes],
-            fifo: vec![0; n_nodes + 1],
-            visited_bits: vec![0; n_nodes.div_ceil(64)],
             ban_touched_bits: vec![0; n_nodes.div_ceil(64)],
-            layer_bits: Vec::new(),
-            spare_bits: Vec::new(),
             // Stamps start at 0, so the first valid epoch is 1.
             ban_epoch: 1,
-            bfs_epoch: 0,
             node_bans: false,
         }
     }
 
     /// Invalidates every ban in O(1) (with a wrap-around reset every 255
     /// generations).
-    fn new_ban_epoch(&mut self) {
+    fn new_epoch(&mut self) {
         if self.node_bans {
             self.banned_node_bits.fill(0);
             self.node_bans = false;
@@ -374,15 +367,6 @@ impl BfsWorkspace {
             self.ban_epoch = 1;
         } else {
             self.ban_epoch += 1;
-        }
-    }
-
-    fn next_bfs_epoch(&mut self) {
-        if self.bfs_epoch == u8::MAX {
-            self.seen.fill(0);
-            self.bfs_epoch = 1;
-        } else {
-            self.bfs_epoch += 1;
         }
     }
 
@@ -402,47 +386,323 @@ impl BfsWorkspace {
         self.node_bans = true;
     }
 
-    /// True when at least one of `u`'s channels is not banned this epoch.
-    /// An exact feasibility probe: a further path to/from `u` must cross
-    /// one of them, so a `false` here is a search failure the caller can
-    /// take for free. `banned_count` (an upper bound on the channels
-    /// banned this epoch) short-circuits hubs: more channels than bans
-    /// means one is necessarily free.
-    fn has_unbanned_channel(&self, csr: &CsrGraph, u: u32, banned_count: usize) -> bool {
-        let row = csr.row(u);
-        row.len() > banned_count + csr.disabled_at(u)
-            || row.iter().any(|&e| {
-                let c = CsrGraph::channel(e);
-                self.banned_channel[c as usize] != self.ban_epoch && !csr.is_disabled(c)
-            })
+    #[inline]
+    fn node_banned(&self, n: u32) -> bool {
+        self.node_bans && bit_get(&self.banned_node_bits, n)
     }
 
-    /// A cleared bitset buffer of `words` words, recycled when possible.
-    fn grab_bits(&mut self, words: usize) -> Vec<u64> {
-        match self.spare_bits.pop() {
-            Some(mut b) => {
-                b.clear();
-                b.resize(words, 0);
-                b
-            }
-            None => vec![0; words],
-        }
+    /// True when channel `c` is neither banned this epoch nor disabled.
+    #[inline]
+    fn open(&self, csr: &CsrGraph, c: u32) -> bool {
+        self.banned_channel[c as usize] != self.ban_epoch && !csr.is_disabled(c)
     }
 
-    /// True when `node` has an unbanned channel to a node of `frontier`
-    /// — the exact membership test for the next reverse-sweep layer.
+    /// True when `node` has an open channel to a node of `frontier` — the
+    /// exact membership test for the layer swept from `frontier`.
     fn linked_to_frontier(&self, csr: &CsrGraph, node: u32, frontier: &[u64]) -> bool {
         csr.row(node).iter().any(|&e| {
-            let c = CsrGraph::channel(e);
-            self.banned_channel[c as usize] != self.ban_epoch
-                && !csr.is_disabled(c)
-                && bit_get(frontier, CsrGraph::neighbor(e))
+            self.open(csr, CsrGraph::channel(e)) && bit_get(frontier, CsrGraph::neighbor(e))
         })
     }
 
-    /// The shortest path from `src` to `dst` on the channel-banned
-    /// residual graph, with the exact tie-breaks of [`BfsWorkspace::bfs`]
-    /// — computed without simulating the BFS.
+    /// ORs the residual neighbors of the frontier nodes in bitset word
+    /// `w_idx` (bits `word`) into `next`. Hub rows are ORed whole and
+    /// ignore bans; [`Bans::audit`] takes back what they overreach.
+    #[inline]
+    fn fold(&self, csr: &CsrGraph, w_idx: usize, mut word: u64, next: &mut [u64]) {
+        while word != 0 {
+            let u = (w_idx * 64) as u32 + word.trailing_zeros();
+            word &= word - 1;
+            match csr.hub_bits_row(u) {
+                Some(row) => {
+                    for (n, &r) in next.iter_mut().zip(row) {
+                        *n |= r;
+                    }
+                }
+                None if !bit_get(&self.ban_touched_bits, u) && csr.disabled_at(u) == 0 => {
+                    // Neither a ban nor a disabled channel touches `u`:
+                    // fold its row in without per-edge checks.
+                    for &v in csr.neighbor_row(u) {
+                        bit_set(next, v);
+                    }
+                }
+                None => {
+                    for &e in csr.row(u) {
+                        if self.open(csr, CsrGraph::channel(e)) {
+                            bit_set(next, CsrGraph::neighbor(e));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Clears the bits of `next` that a frontier hub's OR set only through
+    /// a banned channel: an endpoint keeps its bit only if some open
+    /// channel really links it to `frontier`.
+    fn audit(
+        &self,
+        csr: &CsrGraph,
+        banned_edges: &[(u32, u32, u32)],
+        frontier: &[u64],
+        next: &mut [u64],
+    ) {
+        for &(_, a, b) in banned_edges {
+            for (x, y) in [(a, b), (b, a)] {
+                if csr.is_hub(x)
+                    && bit_get(frontier, x)
+                    && bit_get(next, y)
+                    && !self.linked_to_frontier(csr, y, frontier)
+                {
+                    bit_clear(next, y);
+                }
+            }
+        }
+    }
+
+    /// Whether `t`, whose bit a sweep of `frontier` has set, really is
+    /// linked to the frontier. The bit is trustworthy unless a banned
+    /// channel at `t` leads to a frontier hub (whose OR ignores bans) —
+    /// only then is `t`'s row checked.
+    fn reaches(
+        &self,
+        csr: &CsrGraph,
+        banned_edges: &[(u32, u32, u32)],
+        frontier: &[u64],
+        t: u32,
+    ) -> bool {
+        let maybe_spurious = banned_edges.iter().any(|&(_, a, b)| {
+            (a == t && csr.is_hub(b) && bit_get(frontier, b))
+                || (b == t && csr.is_hub(a) && bit_get(frontier, a))
+        });
+        !maybe_spurious || self.linked_to_frontier(csr, t, frontier)
+    }
+
+    /// The smallest-id neighbor of `cur` in `layer` over an open channel,
+    /// with that channel. Bitset order and sorted-row order are both
+    /// ascending node id, so a hub ANDs its adjacency bitset against the
+    /// layer instead of scanning hundreds of entries.
+    fn step(&self, csr: &CsrGraph, cur: u32, layer: &[u64]) -> Option<(u32, u32)> {
+        let row = csr.row(cur);
+        let Some(hub_row) = csr.hub_bits_row(cur) else {
+            return row.iter().find_map(|&e| {
+                let (v, c) = (CsrGraph::neighbor(e), CsrGraph::channel(e));
+                (self.open(csr, c) && bit_get(layer, v)).then_some((v, c))
+            });
+        };
+        let neighbors = csr.neighbor_row(cur);
+        for (w, (&h, &l)) in hub_row.iter().zip(layer).enumerate() {
+            let mut cand = h & l;
+            while cand != 0 {
+                let v = (w * 64) as u32 + cand.trailing_zeros();
+                cand &= cand - 1;
+                let entry = neighbors.binary_search(&v).ok().and_then(|i| row.get(i));
+                debug_assert!(entry.is_some(), "bitset row matches CSR");
+                if let Some(&e) = entry {
+                    let c = CsrGraph::channel(e);
+                    if self.open(csr, c) {
+                        return Some((v, c));
+                    }
+                }
+            }
+        }
+        None
+    }
+}
+
+/// One front of the bidirectional search: the distance layers grown from
+/// one endpoint.
+#[derive(Debug, Default)]
+struct Front {
+    /// The endpoint this front grows from.
+    seed: u32,
+    /// Arena offsets of its distance layers: layer `t` holds the nodes at
+    /// residual distance `t` from `seed`.
+    layers: Vec<usize>,
+    /// Every node this front has reached.
+    visited: Vec<u64>,
+    /// Nodes in the outermost layer.
+    frontier_len: u32,
+}
+
+/// How growing a front by one layer ended.
+enum Grown {
+    /// A new, non-empty layer that does not touch the other front.
+    Layer,
+    /// The new layer touches the other front. The meet set — the new
+    /// layer's nodes the other front has visited — is the arena's last
+    /// layer.
+    Met,
+    /// No new node: the seed's residual component is exhausted.
+    Exhausted,
+}
+
+impl Front {
+    /// Restarts the front at `seed`, whose layer 0 is appended to `arena`.
+    fn reset(&mut self, seed: u32, words: usize, arena: &mut Vec<u64>) {
+        self.seed = seed;
+        self.layers.clear();
+        self.layers.push(arena.len());
+        self.visited.clear();
+        self.visited.resize(words, 0);
+        bit_set(&mut self.visited, seed);
+        arena.extend_from_slice(&self.visited);
+        self.frontier_len = 1;
+    }
+
+    /// Sweeps the outermost layer into the next one (through `next`, then
+    /// appended to `arena`).
+    fn grow(
+        &mut self,
+        csr: &CsrGraph,
+        bans: &Bans,
+        banned_edges: &[(u32, u32, u32)],
+        other: &Front,
+        arena: &mut Vec<u64>,
+        next: &mut Vec<u64>,
+    ) -> Grown {
+        let words = csr.words;
+        let Some(&at) = self.layers.last() else {
+            return Grown::Exhausted;
+        };
+        let frontier = &arena[at..at + words];
+        next.clear();
+        next.resize(words, 0);
+        // While the other front is still its bare seed, the meet set can
+        // only be that seed: poll for it once per frontier word (at most
+        // 63 nodes of overshoot) and stop mid-layer once it is reached.
+        let target = (other.layers.len() == 1).then_some(other.seed);
+        let mut settled = false;
+        let mut reached = false;
+        for (w_idx, &word) in frontier.iter().enumerate() {
+            bans.fold(csr, w_idx, word, next);
+            if let Some(t) = target.filter(|_| !settled) {
+                if bit_get(next, t) {
+                    settled = true;
+                    if bans.reaches(csr, banned_edges, frontier, t) {
+                        reached = true;
+                        break;
+                    }
+                    bit_clear(next, t);
+                }
+            }
+        }
+        if let Some(t) = target.filter(|_| settled) {
+            if reached {
+                next.fill(0);
+                bit_set(next, t);
+                arena.extend_from_slice(next);
+                return Grown::Met;
+            }
+            // The verification above is definitive for this layer: a
+            // re-set of the seed's bit by a later hub OR is equally
+            // spurious.
+            bit_clear(next, t);
+        }
+        // Keep only genuinely new nodes — and never banned ones (masking
+        // a layer is exactly BFS refusing to visit them) — then audit
+        // hub-OR bits that may exist only through a banned channel.
+        for (n, v) in next.iter_mut().zip(&self.visited) {
+            *n &= !v;
+        }
+        if bans.node_bans {
+            for (n, b) in next.iter_mut().zip(&bans.banned_node_bits) {
+                *n &= !b;
+            }
+        }
+        bans.audit(csr, banned_edges, frontier, next);
+        if next.iter().zip(&other.visited).any(|(n, o)| n & o != 0) {
+            for (n, o) in next.iter_mut().zip(&other.visited) {
+                *n &= o;
+            }
+            arena.extend_from_slice(next);
+            return Grown::Met;
+        }
+        let mut len = 0;
+        for (v, n) in self.visited.iter_mut().zip(next.iter()) {
+            *v |= n;
+            len += n.count_ones();
+        }
+        if len == 0 {
+            return Grown::Exhausted;
+        }
+        self.layers.push(arena.len());
+        arena.extend_from_slice(next);
+        self.frontier_len = len;
+        Grown::Layer
+    }
+}
+
+/// Reusable search state: the bans, the tree-build BFS buffers, and the
+/// bidirectional search's two fronts over one flat layer arena.
+///
+/// The oracles run several searches per destination and serve many
+/// destinations per source, so a search allocates nothing once the
+/// workspace is warm: bans are epoch-stamped ([`Bans`]), and every
+/// distance layer of a search lives in `arena`, whose capacity is kept
+/// across searches — it grows only when a search runs deeper than every
+/// earlier one. The arrays are small enough to stay cache-resident at
+/// Ripple scale. The membership *semantics* are the ones BFS over sorted
+/// adjacency always had, so results are bit-identical to the per-pair
+/// oracles of earlier trees.
+#[derive(Debug)]
+struct BfsWorkspace {
+    bans: Bans,
+    seen: Vec<u8>,
+    /// Fixed-size FIFO for the tree build (manual length, one slot of
+    /// slack).
+    fifo: Vec<u32>,
+    bfs_epoch: u8,
+    /// Every layer of the current search, `CsrGraph::words` words each,
+    /// in the order they were swept.
+    arena: Vec<u64>,
+    /// The front grown from the search's source.
+    fwd: Front,
+    /// The front grown from the search's destination.
+    bwd: Front,
+    /// The layer being swept, before it is vetted and appended to `arena`.
+    next: Vec<u64>,
+    /// Arena offsets of the walk's layers, by path position 1..=distance.
+    route: Vec<usize>,
+}
+
+impl BfsWorkspace {
+    fn new(n_nodes: usize, n_channels: usize) -> Self {
+        BfsWorkspace {
+            bans: Bans::new(n_nodes, n_channels),
+            seen: vec![0; n_nodes],
+            fifo: vec![0; n_nodes + 1],
+            bfs_epoch: 0,
+            arena: Vec::new(),
+            fwd: Front::default(),
+            bwd: Front::default(),
+            next: Vec::new(),
+            route: Vec::new(),
+        }
+    }
+
+    fn next_bfs_epoch(&mut self) {
+        if self.bfs_epoch == u8::MAX {
+            self.seen.fill(0);
+            self.bfs_epoch = 1;
+        } else {
+            self.bfs_epoch += 1;
+        }
+    }
+
+    /// Words held by the search buffers (capacity, not length): bounded by
+    /// the deepest search this workspace has run, never by how many.
+    #[cfg(test)]
+    fn pooled_words(&self) -> usize {
+        self.arena.capacity()
+            + self.next.capacity()
+            + self.fwd.visited.capacity()
+            + self.bwd.visited.capacity()
+    }
+
+    /// The shortest path from `src` to `dst` on the banned residual graph,
+    /// with the exact tie-breaks of BFS over id-sorted adjacency —
+    /// computed without simulating that BFS.
     ///
     /// BFS over id-sorted adjacency returns *the lexicographically
     /// smallest (by node sequence) shortest path*: discovery order within
@@ -452,24 +712,43 @@ impl BfsWorkspace {
     /// lex-smallest, and the chain reaching `dst` is the lex-min shortest
     /// path (this is the documented tie-break contract of this module,
     /// and the reference tests pin it against a literal BFS). That
-    /// characterization is order-free, which unlocks a much cheaper
-    /// computation:
+    /// characterization does not depend on search order, which unlocks a
+    /// much cheaper computation:
     ///
-    /// 1. a *reverse* layer-synchronous sweep from `dst` records the
-    ///    distance layers of the residual graph as bitsets — no visited
-    ///    checks or parent bookkeeping per edge, and hub rows
-    ///    ([`HUB_MIN_DEG`]) are folded in as whole-word ORs, 64 neighbors
-    ///    at a time (the bulk of all edges in a scale-free graph);
-    /// 2. a forward greedy walk picks, at each step, the smallest-id
-    ///    unbanned neighbor one layer closer to `dst` — the lex-min path.
+    /// 1. a *bidirectional* layer-synchronous search grows a front from
+    ///    `src` and one from `dst` as distance-layer bitsets, always
+    ///    extending the front whose outermost layer holds fewer nodes — no
+    ///    visited checks or parent bookkeeping per edge, and hub rows
+    ///    ([`HUB_MIN_DEG`]) folded in as whole-word ORs, 64 neighbors at a
+    ///    time. On hub-dominated graphs the fronts meet after touching a
+    ///    small fraction of what a one-sided sweep visits;
+    /// 2. it stops at the first new layer that touches the other front.
+    ///    With `a` forward and `b` backward layers disjoint, the distance
+    ///    exceeds `a + b`; the touching layer makes it exactly
+    ///    `d = a + b + 1`, and the meet set `M` (the new layer's nodes the
+    ///    other front has visited) lies wholly in the other front's
+    ///    outermost layer: it is the set of nodes at one position `m` of
+    ///    the shortest paths;
+    /// 3. the forward layers before `m` are narrowed to shortest-path
+    ///    nodes: `P_m = M`, `P_i = F_i ∩ N(P_{i+1})`. Past `m`, the
+    ///    backward layer `B_{d-i}` already is that set;
+    /// 4. a forward greedy walk picks, at each position, the smallest-id
+    ///    neighbor over an open channel in that position's set — the
+    ///    lex-min path.
+    ///
+    /// While the other front is still its bare seed, a sweep polls for
+    /// that node once per frontier word and stops mid-layer: a one-node
+    /// meet set needs no complete layer, which keeps the short searches
+    /// of small graphs as cheap as a one-sided sweep.
     ///
     /// Hub ORs ignore bans, so each swept layer is corrected against
     /// `banned_edges` (`(channel, endpoint, endpoint)` of every banned
-    /// channel): an endpoint set by a hub OR keeps its bit only if some
-    /// unbanned channel really links it to the frontier. A destination
-    /// cut off in a small residual pocket exhausts the sweep after a few
-    /// tiny layers — failure costs the *pocket's* size, not a sweep of
-    /// `src`'s whole component.
+    /// channel) by [`Bans::audit`]. An endpoint cut off in a small
+    /// residual pocket exhausts its front after a few tiny layers —
+    /// failure costs the *pocket's* size, not a sweep of the other
+    /// endpoint's whole component. An endpoint whose channels are all
+    /// banned, the usual way a pair runs out of edge-disjoint paths, fails
+    /// on its front's first layer, so callers need no feasibility probe.
     fn lexmin_path(
         &mut self,
         csr: &CsrGraph,
@@ -478,173 +757,74 @@ impl BfsWorkspace {
         banned_edges: &[(u32, u32, u32)],
     ) -> Option<(Vec<NodeId>, Vec<u32>)> {
         debug_assert_ne!(src, dst);
-        if self.node_bans
-            && (bit_get(&self.banned_node_bits, src) || bit_get(&self.banned_node_bits, dst))
-        {
+        let bans = &self.bans;
+        if bans.node_banned(src) || bans.node_banned(dst) {
             return None;
         }
         let words = csr.words;
-        let ban = self.ban_epoch;
-        // Recycle the previous search's layers.
-        self.spare_bits.append(&mut self.layer_bits);
-        self.visited_bits.clear();
-        self.visited_bits.resize(words, 0);
-        let mut frontier = self.grab_bits(words);
-        bit_set(&mut frontier, dst);
-        bit_set(&mut self.visited_bits, dst);
-        let depth = loop {
-            let t = self.layer_bits.len();
-            let mut next = self.grab_bits(words);
-            // Sweep the frontier into `next`. `src`'s bit is polled once
-            // per frontier *word* (at most 63 nodes of overshoot — the
-            // layer stays exact either way, see below).
-            let mut src_settled = false;
-            let mut found = false;
-            'sweep: for w_idx in 0..words {
-                let mut word = frontier[w_idx];
-                if word == 0 {
-                    continue;
-                }
-                while word != 0 {
-                    let u = (w_idx * 64) as u32 + word.trailing_zeros();
-                    word &= word - 1;
-                    match csr.hub_bits_row(u) {
-                        Some(row) => {
-                            for (n, &r) in next.iter_mut().zip(row) {
-                                *n |= r;
-                            }
-                        }
-                        None if !bit_get(&self.ban_touched_bits, u) && csr.disabled_at(u) == 0 => {
-                            // Neither a ban nor a disabled channel touches
-                            // `u`: fold its row in without per-edge checks.
-                            for &v in csr.neighbor_row(u) {
-                                bit_set(&mut next, v);
-                            }
-                        }
-                        None => {
-                            for &e in csr.row(u) {
-                                let c = CsrGraph::channel(e);
-                                if self.banned_channel[c as usize] != ban && !csr.is_disabled(c) {
-                                    bit_set(&mut next, CsrGraph::neighbor(e));
-                                }
-                            }
-                        }
-                    }
-                }
-                // `src` reached? Its bit is trustworthy unless a banned
-                // channel at `src` leads to a frontier hub (whose OR
-                // ignores bans) — only then arbitrate against the
-                // (complete) frontier, once per layer.
-                if !src_settled && bit_get(&next, src) {
-                    src_settled = true;
-                    let maybe_spurious = banned_edges.iter().any(|&(_, a, b)| {
-                        (a == src && csr.hub_row[b as usize] != u32::MAX && bit_get(&frontier, b))
-                            || (b == src
-                                && csr.hub_row[a as usize] != u32::MAX
-                                && bit_get(&frontier, a))
-                    });
-                    if !maybe_spurious || self.linked_to_frontier(csr, src, &frontier) {
-                        found = true;
-                        break 'sweep;
-                    }
-                    bit_clear(&mut next, src);
-                }
+        self.arena.clear();
+        self.fwd.reset(src, words, &mut self.arena);
+        self.bwd.reset(dst, words, &mut self.arena);
+        let forward_met = loop {
+            // Grow the sparser front; ties grow the backward one.
+            let forward = self.fwd.frontier_len < self.bwd.frontier_len;
+            let (front, other) = if forward {
+                (&mut self.fwd, &self.bwd)
+            } else {
+                (&mut self.bwd, &self.fwd)
+            };
+            match front.grow(
+                csr,
+                bans,
+                banned_edges,
+                other,
+                &mut self.arena,
+                &mut self.next,
+            ) {
+                Grown::Layer => {}
+                Grown::Met => break forward,
+                Grown::Exhausted => return None,
             }
-            if found {
-                // Layers 1..=t (the greedy walk's working set) are
-                // complete; `src` sits in the partial layer t + 1.
-                self.layer_bits.push(frontier);
-                self.spare_bits.push(next);
-                break t + 2;
-            }
-            // The verification above is definitive for this layer: a
-            // re-set of `src`'s bit by a later hub OR is equally
-            // spurious, and must not leak into the layer (it would mark
-            // `src` visited and hide it from every later layer).
-            if src_settled {
-                bit_clear(&mut next, src);
-            }
-            // Keep only genuinely new nodes — and never banned ones
-            // (masking a layer is exactly BFS refusing to visit them) —
-            // then audit hub-OR bits that may exist only through a banned
-            // channel.
-            for (n, v) in next.iter_mut().zip(&self.visited_bits) {
-                *n &= !v;
-            }
-            if self.node_bans {
-                for (n, b) in next.iter_mut().zip(&self.banned_node_bits) {
-                    *n &= !b;
-                }
-            }
-            for &(_, a, b) in banned_edges {
-                for (x, y) in [(a, b), (b, a)] {
-                    if csr.hub_row[x as usize] != u32::MAX
-                        && bit_get(&frontier, x)
-                        && bit_get(&next, y)
-                        && !self.linked_to_frontier(csr, y, &frontier)
-                    {
-                        bit_clear(&mut next, y);
-                    }
-                }
-            }
-            let mut any = 0u64;
-            for (v, n) in self.visited_bits.iter_mut().zip(&next) {
-                *v |= n;
-                any |= n;
-            }
-            if any == 0 {
-                // `dst`'s residual component is exhausted: unreachable.
-                self.layer_bits.push(frontier);
-                self.spare_bits.push(next);
-                return None;
-            }
-            self.layer_bits.push(frontier);
-            frontier = next;
         };
-        // Forward greedy walk: from `src`, repeatedly take the
-        // smallest-id unbanned neighbor one layer closer to `dst`.
-        // `layer_bits[t]` holds distance-t nodes; `src` is at `depth - 1`.
-        // Bitset order and sorted-row order are both ascending node id,
-        // so a hub step can AND its adjacency bitset against the layer
-        // instead of scanning hundreds of entries.
-        let mut nodes = vec![NodeId(src)];
-        let mut channels = Vec::new();
-        let mut cur = src;
-        for t in (0..depth - 1).rev() {
-            let layer = &self.layer_bits[t];
-            let mut step = None;
-            match csr.hub_bits_row(cur) {
-                Some(hubrow) => {
-                    'hub: for (w, (&h, &l)) in hubrow.iter().zip(layer.iter()).enumerate() {
-                        let mut cand = h & l;
-                        while cand != 0 {
-                            let v = (w * 64) as u32 + cand.trailing_zeros();
-                            cand &= cand - 1;
-                            let row = csr.neighbor_row(cur);
-                            let idx = row.binary_search(&v).expect("bitset row matches CSR");
-                            let c = CsrGraph::channel(csr.row(cur)[idx]);
-                            if self.banned_channel[c as usize] != ban {
-                                step = Some((v, c));
-                                break 'hub;
-                            }
-                        }
-                    }
-                }
-                None => {
-                    for &e in csr.row(cur) {
-                        let v = CsrGraph::neighbor(e);
-                        let c = CsrGraph::channel(e);
-                        if self.banned_channel[c as usize] != ban
-                            && !csr.is_disabled(c)
-                            && bit_get(layer, v)
-                        {
-                            step = Some((v, c));
-                            break;
-                        }
-                    }
-                }
+        // Layers of the walk, by position: the forward layers before the
+        // meet position `m`, the meet set, then the backward layers.
+        let a = self.fwd.layers.len() - 1;
+        let b = self.bwd.layers.len() - 1;
+        let m = if forward_met { a + 1 } else { a };
+        self.route.clear();
+        if m > 0 {
+            self.route
+                .extend(self.fwd.layers.iter().skip(1).take(m - 1));
+            self.route.push(self.arena.len() - words);
+        }
+        self.route
+            .extend(self.bwd.layers.iter().take(a + b + 1 - m).rev());
+        // Narrow the forward layers to shortest-path nodes, from the meet
+        // set back towards `src`.
+        for i in (1..m).rev() {
+            let (at, from) = (self.route[i - 1], self.route[i]);
+            self.next.clear();
+            self.next.resize(words, 0);
+            let frontier = &self.arena[from..from + words];
+            for (w_idx, &word) in frontier.iter().enumerate() {
+                bans.fold(csr, w_idx, word, &mut self.next);
             }
-            let (v, c) = step.expect("complete layer precedes the walk");
+            for (n, f) in self.next.iter_mut().zip(&self.arena[at..at + words]) {
+                *n &= f;
+            }
+            bans.audit(csr, banned_edges, frontier, &mut self.next);
+            self.arena[at..at + words].copy_from_slice(&self.next);
+        }
+        // Forward greedy walk: from `src`, repeatedly take the smallest-id
+        // neighbor over an open channel in the next position's set.
+        let mut nodes = Vec::with_capacity(self.route.len() + 1);
+        let mut channels = Vec::with_capacity(self.route.len());
+        nodes.push(NodeId(src));
+        let mut cur = src;
+        for &at in &self.route {
+            let step = bans.step(csr, cur, &self.arena[at..at + words]);
+            debug_assert!(step.is_some(), "every position holds a path node");
+            let (v, c) = step?;
             nodes.push(NodeId(v));
             channels.push(c);
             cur = v;
@@ -678,9 +858,10 @@ pub struct SourceOracle<'a> {
     /// Unbanned BFS parent tree from `src`, as [`Topology::bfs_parents`]
     /// builds it: packed `(parent, via-channel)` per node (`u64::MAX` =
     /// unreached; the source points at itself). Built lazily: a source
-    /// asked about only a destination or two gets per-destination reverse
-    /// sweeps (identical results — both compute the lex-min shortest
-    /// path) instead of paying a full-graph traversal up front.
+    /// asked about only a destination or two gets per-destination
+    /// bidirectional searches (identical results — both compute the
+    /// lex-min shortest path) instead of paying a full-graph traversal up
+    /// front.
     tree: Vec<u64>,
     tree_built: bool,
     /// First-path queries served for this source (drives tree laziness).
@@ -688,7 +869,7 @@ pub struct SourceOracle<'a> {
 }
 
 /// After this many first-path queries for one source, amortizing a full
-/// BFS tree beats per-destination sweeps.
+/// BFS tree beats per-destination searches.
 const TREE_AFTER_QUERIES: u32 = 3;
 
 impl<'a> SourceOracle<'a> {
@@ -718,8 +899,9 @@ impl<'a> SourceOracle<'a> {
     }
 
     /// The unbanned lex-min shortest path to `dst` with its hop channels:
-    /// from the tree when built, by one reverse sweep otherwise (building
-    /// the tree once a source proves hot). Requires a fresh ban epoch.
+    /// from the tree when built, by one bidirectional search otherwise
+    /// (building the tree once a source proves hot). Requires a fresh ban
+    /// epoch.
     fn first_path(&mut self, dst: u32) -> Option<(Vec<NodeId>, Vec<u32>)> {
         self.queries += 1;
         if !self.tree_built && self.queries > TREE_AFTER_QUERIES {
@@ -797,7 +979,7 @@ impl<'a> SourceOracle<'a> {
         if dst.0 == self.src {
             return Some(Path::new(vec![dst]));
         }
-        self.ws.new_ban_epoch();
+        self.ws.bans.new_epoch();
         self.first_path(dst.0).map(|(nodes, _)| Path::new(nodes))
     }
 
@@ -807,34 +989,20 @@ impl<'a> SourceOracle<'a> {
         if k == 0 || dst.0 == self.src {
             return Vec::new();
         }
-        self.ws.new_ban_epoch();
+        self.ws.bans.new_epoch();
         let Some((nodes, channels)) = self.first_path(dst.0) else {
             return Vec::new();
         };
         let mut out = Vec::with_capacity(k);
         // Channels every accepted path used, with their endpoints (the
-        // sweep corrects hub-OR overreach against this list).
+        // search corrects hub-OR overreach against this list).
         let mut banned_edges: Vec<(u32, u32, u32)> = Vec::new();
         for (i, c) in channels.into_iter().enumerate() {
-            self.ws.ban_channel(c, nodes[i].0, nodes[i + 1].0);
+            self.ws.bans.ban_channel(c, nodes[i].0, nodes[i + 1].0);
             banned_edges.push((c, nodes[i].0, nodes[i + 1].0));
         }
         out.push(Path::new(nodes));
         while out.len() < k {
-            // Exact pruning: a further edge-disjoint path must leave `src`
-            // and enter `dst` over channels no earlier path used. When
-            // either endpoint is exhausted — the overwhelmingly common way
-            // low-degree pairs run out of paths — the search below could
-            // only fail; skip it.
-            if !self
-                .ws
-                .has_unbanned_channel(self.csr, self.src, banned_edges.len())
-                || !self
-                    .ws
-                    .has_unbanned_channel(self.csr, dst.0, banned_edges.len())
-            {
-                break;
-            }
             let Some((nodes, channels)) =
                 self.ws
                     .lexmin_path(self.csr, self.src, dst.0, &banned_edges)
@@ -842,7 +1010,7 @@ impl<'a> SourceOracle<'a> {
                 break;
             };
             for (i, c) in channels.into_iter().enumerate() {
-                self.ws.ban_channel(c, nodes[i].0, nodes[i + 1].0);
+                self.ws.bans.ban_channel(c, nodes[i].0, nodes[i + 1].0);
                 banned_edges.push((c, nodes[i].0, nodes[i + 1].0));
             }
             out.push(Path::new(nodes));
@@ -856,7 +1024,7 @@ impl<'a> SourceOracle<'a> {
         if k == 0 || dst.0 == self.src {
             return Vec::new();
         }
-        self.ws.new_ban_epoch();
+        self.ws.bans.new_epoch();
         let Some((nodes, _)) = self.first_path(dst.0) else {
             return Vec::new();
         };
@@ -879,18 +1047,20 @@ impl<'a> SourceOracle<'a> {
                 // this root, and the root nodes except the spur node
                 // (looplessness). A fresh epoch clears the previous spur's
                 // bans.
-                self.ws.new_ban_epoch();
+                self.ws.bans.new_epoch();
                 let mut banned_edges: Vec<(u32, u32, u32)> = Vec::new();
                 for p in &accepted {
                     if p.nodes.len() > i + 1 && p.nodes[..=i] == *root {
                         if let Some(c) = self.topo.channel_between(p.nodes[i], p.nodes[i + 1]) {
-                            self.ws.ban_channel(c.0, p.nodes[i].0, p.nodes[i + 1].0);
+                            self.ws
+                                .bans
+                                .ban_channel(c.0, p.nodes[i].0, p.nodes[i + 1].0);
                             banned_edges.push((c.0, p.nodes[i].0, p.nodes[i + 1].0));
                         }
                     }
                 }
                 for n in &root[..i] {
-                    self.ws.ban_node(n.0);
+                    self.ws.bans.ban_node(n.0);
                 }
                 if let Some((spur_nodes, _)) =
                     self.ws
@@ -905,7 +1075,7 @@ impl<'a> SourceOracle<'a> {
                 }
             }
             // Leave no stale bans behind for the next caller.
-            self.ws.new_ban_epoch();
+            self.ws.bans.new_epoch();
             if candidates.is_empty() {
                 break;
             }
@@ -1217,9 +1387,9 @@ mod tests {
 
     /// Literal successive-shortest-path BFS, kept deliberately naive: one
     /// `VecDeque` BFS per path over `HashSet` bans. The production oracle
-    /// computes the same paths through the reverse layer sweep; this
-    /// reference pins the "BFS over sorted adjacency = lex-min shortest
-    /// path" equivalence the sweep relies on.
+    /// computes the same paths through the bidirectional layer search;
+    /// this reference pins the "BFS over sorted adjacency = lex-min
+    /// shortest path" equivalence the search relies on.
     fn reference_edge_disjoint(topo: &Topology, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
         use std::collections::VecDeque;
         if k == 0 || src == dst {
@@ -1358,7 +1528,13 @@ mod tests {
         accepted
     }
 
-    /// Yen over the layer sweep must match the literal implementation —
+    /// A Ripple-shaped input big enough that searches run several layers
+    /// deep from both ends, with hubs on either side of the meet.
+    fn ripple_600(rng: &mut spider_types::DetRng) -> Topology {
+        gen::ripple_like(600, CAP, rng)
+    }
+
+    /// Yen over the layer search must match the literal implementation —
     /// node bans (spur roots) and channel bans together.
     #[test]
     fn k_shortest_matches_literal_yen() {
@@ -1368,6 +1544,7 @@ mod tests {
             diamond(),
             gen::isp_topology(CAP),
             gen::barabasi_albert(200, 2, CAP, &mut rng),
+            ripple_600(&mut rng),
         ];
         for t in &graphs {
             for _ in 0..150 {
@@ -1384,9 +1561,9 @@ mod tests {
         }
     }
 
-    /// The layer-sweep oracle must reproduce the literal BFS bit for bit,
-    /// including on hub-heavy graphs where the sweep's whole-word OR path
-    /// and its banned-edge corrections are exercised.
+    /// The layer-search oracle must reproduce the literal BFS bit for bit,
+    /// including on hub-heavy graphs where the whole-word OR path and its
+    /// banned-edge corrections are exercised from both ends.
     #[test]
     fn edge_disjoint_matches_literal_bfs() {
         use spider_types::DetRng;
@@ -1396,9 +1573,10 @@ mod tests {
         let mut graphs = vec![diamond(), gen::isp_topology(CAP)];
         graphs.push(gen::barabasi_albert(300, 3, CAP, &mut rng));
         graphs.push(gen::barabasi_albert(150, 1, CAP, &mut rng));
+        graphs.push(ripple_600(&mut rng));
         for t in &graphs {
             assert!(
-                t.node_count() < 320,
+                t.node_count() <= 600,
                 "keep the exhaustive comparison affordable"
             );
             for _ in 0..600 {
@@ -1419,8 +1597,7 @@ mod tests {
     /// must answer every oracle exactly like a cold build of the filtered
     /// topology — compared as node sequences, since channel ids shift in
     /// the rebuilt graph. Random masks over hub-heavy graphs exercise the
-    /// cleared hub-bitset rows, the check-free-tier gating, and the
-    /// feasibility shortcuts.
+    /// cleared hub-bitset rows and the check-free-tier gating.
     #[test]
     fn disabled_channels_match_cold_filtered_rebuild() {
         use spider_types::DetRng;
@@ -1429,6 +1606,7 @@ mod tests {
             diamond(),
             gen::isp_topology(CAP),
             gen::barabasi_albert(250, 3, CAP, &mut rng),
+            ripple_600(&mut rng),
         ];
         for t in &graphs {
             for _case in 0..6 {
@@ -1493,6 +1671,43 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The search buffers are recycled, never pooled per search: over
+    /// thousands of queries their footprint is bounded by the deepest
+    /// search (at most one layer per node plus the seeds, per front), and
+    /// replaying the same queries grows it by nothing.
+    #[test]
+    fn search_buffers_stay_bounded() {
+        use spider_types::DetRng;
+        let mut rng = DetRng::new(9);
+        let t = ripple_600(&mut rng);
+        let csr = CsrGraph::new(&t);
+        let words = csr.words;
+        let mut oracle = SourceOracle::new(&t, &csr, n(0));
+        let n_nodes = t.node_count() as u32;
+        let sweep = |oracle: &mut SourceOracle<'_>| {
+            for src in (0..n_nodes).step_by(97) {
+                oracle.retarget(n(src));
+                for dst in (0..n_nodes).step_by(3) {
+                    oracle.edge_disjoint(n(dst), 4);
+                    oracle.k_shortest(n(dst), 2);
+                }
+            }
+        };
+        sweep(&mut oracle);
+        let warm = oracle.ws.pooled_words();
+        assert!(
+            warm <= 2 * (t.node_count() + 4) * words,
+            "{warm} words pooled for {words}-word layers"
+        );
+        sweep(&mut oracle);
+        sweep(&mut oracle);
+        assert_eq!(
+            oracle.ws.pooled_words(),
+            warm,
+            "replayed queries grew the pool"
+        );
     }
 
     #[test]
