@@ -36,7 +36,7 @@ use spider_sim::{
     QueueConfig, QueueingMode, SimConfig, SimReport, Simulation, SizeDistribution, SlabStats,
     StreamingWorkload, Workload, WorkloadConfig,
 };
-use spider_types::{Amount, DetRng, SimDuration};
+use spider_types::{Amount, DetRng, DropReason, SimDuration};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -309,6 +309,17 @@ fn baseline_for(name: &str) -> Option<(f64, u64, u64, u64)> {
 fn json_record(r: &BenchRun, compare_baseline: bool, drifted: &mut bool) -> String {
     let events_per_sec = r.slab.events_executed as f64 / r.wall_seconds.max(1e-9);
     let units_per_sec = units_processed(r) as f64 / r.wall_seconds.max(1e-9);
+    // Completion-latency percentiles from the report histogram (null when
+    // nothing completed); after them come the per-reason drop breakdown
+    // and the channel hotspot table (empty unless `obs.attribution` ran —
+    // the quick grid).
+    let pct = |p: f64| {
+        r.report
+            .latency_hist
+            .percentile(p)
+            .map(|v| format!("{v:.6}"))
+            .unwrap_or_else(|| "null".to_string())
+    };
     let mut s = String::new();
     write!(
         s,
@@ -317,7 +328,8 @@ fn json_record(r: &BenchRun, compare_baseline: bool, drifted: &mut bool) -> Stri
          \"units_processed\":{},\"units_per_sec\":{:.0},\
          \"peak_live_events\":{},\"peak_live_units\":{},\"interned_paths\":{},\
          \"attempted_payments\":{},\"completed_payments\":{},\"delivered_drops\":{},\
-         \"units_locked\":{},\"units_failed\":{},\"units_dropped\":{},\"retries\":{}",
+         \"units_locked\":{},\"units_failed\":{},\"units_dropped\":{},\"retries\":{},\
+         \"latency_p50_s\":{},\"latency_p99_s\":{}",
         r.case,
         r.topology,
         r.mode,
@@ -337,40 +349,23 @@ fn json_record(r: &BenchRun, compare_baseline: bool, drifted: &mut bool) -> Stri
         r.report.units_failed,
         r.report.units_dropped,
         r.report.retries,
-    )
-    .expect("write to string");
-    // Completion-latency percentiles from the report histogram (null when
-    // nothing completed), the per-reason drop breakdown, and the channel
-    // hotspot table (empty unless `obs.attribution` ran — the quick grid).
-    let pct = |p: f64| {
-        r.report
-            .latency_hist
-            .percentile(p)
-            .map(|v| format!("{v:.6}"))
-            .unwrap_or_else(|| "null".to_string())
-    };
-    let d = &r.report.drops_by_reason;
-    write!(
-        s,
-        ",\"latency_p50_s\":{},\"latency_p99_s\":{},\
-         \"drops_queue_timeout\":{},\"drops_queue_overflow\":{},\"drops_expired\":{},\
-         \"drops_channel_closed\":{},\"drops_message_lost\":{},\"drops_hop_timeout\":{},\
-         \"drops_node_crashed\":{},\"drops_shed\":{},\"drops_admission_rejected\":{},\
-         \"hotspots\":{}",
         pct(50.0),
         pct(99.0),
-        d.queue_timeout,
-        d.queue_overflow,
-        d.expired,
-        d.channel_closed,
-        d.message_lost,
-        d.hop_timeout,
-        d.node_crashed,
-        d.shed,
-        d.admission_rejected,
-        spider_obs::attribution::hotspots_to_json_array(&r.report.hotspots),
     )
     .expect("write to string");
+    for reason in DropReason::ALL {
+        write!(
+            s,
+            ",\"drops_{}\":{}",
+            reason.name(),
+            r.report.drops_by_reason.get(reason)
+        )
+        .expect("write to string");
+    }
+    s.push_str(",\"hotspots\":");
+    s.push_str(&spider_obs::attribution::hotspots_to_json_array(
+        &r.report.hotspots,
+    ));
     // Quick runs trim the workload and non-default seeds change it, so
     // the recorded full-scale baseline only applies at seed 42.
     match compare_baseline.then(|| baseline_for(r.case)).flatten() {
@@ -663,5 +658,46 @@ fn main() {
     if drifted {
         eprintln!("engine outcomes no longer match the pre-refactor baseline; failing");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// Keys of the first record of a `runs` document.
+    fn first_row_keys(doc: &str) -> Option<BTreeSet<String>> {
+        let root = serde_json::parse(doc).ok()?;
+        let runs = serde_json::Value::get_field(root.as_object()?, "runs").as_array()?;
+        let row = runs.first()?.as_object()?;
+        Some(row.iter().map(|(k, _)| k.clone()).collect())
+    }
+
+    #[test]
+    fn rendered_row_keys_match_the_committed_artifacts() {
+        for case in cases(42, true).into_iter().take(1) {
+            let run = run_case(&case);
+            let mut drifted = false;
+            let doc = format!("{{\"runs\":[{}]}}", json_record(&run, false, &mut drifted));
+            let emitted = first_row_keys(&doc);
+            assert!(emitted.is_some(), "json_record output does not parse");
+            for (name, committed) in [
+                (
+                    "BENCH_engine.json",
+                    include_str!("../../../../BENCH_engine.json"),
+                ),
+                (
+                    "baselines/engine_quick_smoke.json",
+                    include_str!("../../baselines/engine_quick_smoke.json"),
+                ),
+            ] {
+                assert_eq!(
+                    emitted,
+                    first_row_keys(committed),
+                    "{name} row keys differ from what json_record emits; regenerate it"
+                );
+            }
+        }
     }
 }

@@ -31,11 +31,13 @@
 //! CI regression gate over the quick-grid artifact uses.
 
 use spider_obs::report::{diff_runs, DiffThresholds, RunRecord};
+use spider_types::DropReason;
 use std::process::ExitCode;
 
 /// Deterministic per-run outcome fields: any above-tolerance change is a
 /// regression (or at least a semantics change that needs a fresh
-/// baseline).
+/// baseline). The per-reason `drops_<name>` counters are gated too, keyed
+/// from [`DropReason::ALL`].
 const GATED: &[&str] = &[
     "events_executed",
     "attempted_payments",
@@ -51,15 +53,6 @@ const GATED: &[&str] = &[
     "interned_paths",
     "latency_p50_s",
     "latency_p99_s",
-    "drops_queue_timeout",
-    "drops_queue_overflow",
-    "drops_expired",
-    "drops_channel_closed",
-    "drops_message_lost",
-    "drops_hop_timeout",
-    "drops_node_crashed",
-    "drops_shed",
-    "drops_admission_rejected",
 ];
 
 /// Wall-clock-dependent fields: reported when they drift, never gating.
@@ -154,6 +147,10 @@ fn parse_artifact(path: &str) -> Result<Vec<RunRecord>, String> {
     let runs = root["runs"]
         .as_array()
         .ok_or_else(|| format!("{path}: no top-level \"runs\" array"))?;
+    let drop_keys: Vec<String> = DropReason::ALL
+        .iter()
+        .map(|r| format!("drops_{}", r.name()))
+        .collect();
     let mut out = Vec::with_capacity(runs.len());
     for (i, r) in runs.iter().enumerate() {
         let name = r["config"]
@@ -166,7 +163,11 @@ fn parse_artifact(path: &str) -> Result<Vec<RunRecord>, String> {
         };
         // Absent or null fields are skipped on both sides; the diff core
         // gates when a metric exists on only one side.
-        for &m in GATED {
+        for m in GATED
+            .iter()
+            .copied()
+            .chain(drop_keys.iter().map(String::as_str))
+        {
             if let Some(v) = r[m].as_f64() {
                 rec.gated.push((m.to_string(), v));
             }

@@ -4,7 +4,7 @@
 //! helpers keep the formats consistent across binaries.
 
 use serde::Serialize;
-use spider_sim::SimReport;
+use spider_sim::{artifact_row, OrElse, SimReport};
 
 /// One figure data point: a scheme evaluated at a parameter setting.
 #[derive(Debug, Clone, Serialize)]
@@ -99,46 +99,51 @@ impl FigureRow {
     }
 }
 
-/// CSV header matching [`to_csv_row`].
-pub const CSV_HEADER: &str =
-    "experiment,scheme,parameter,value,success_ratio_pct,success_volume_pct,goodput_xrp_s,completed,attempted,units_dropped_fault,units_dropped_shed,units_dropped_admission,admission_deferred,retries,avg_completion_s,latency_p50_s,latency_p99_s,hotspot_channel,hotspot_score,profile_calendar_pop_s,profile_routing_s,profile_forwarding_s,profile_settlement_s,profile_churn_repair_s,profile_sampling_s";
+/// `FigureRow`'s columns, listed once: [`CSV_HEADER`] and [`to_csv_row`]
+/// both expand this list, and the renderer destructures the struct
+/// without `..`, so a field that is added, removed or renamed fails to
+/// compile until the list follows. Phase wall times are often well under
+/// a millisecond per phase, so they keep microsecond resolution.
+macro_rules! figure_row_columns {
+    ($($form:tt)*) => {
+        artifact_row!($($form)* FigureRow {
+            experiment,
+            scheme,
+            parameter,
+            value,
+            success_ratio_pct: "{:.4}",
+            success_volume_pct: "{:.4}",
+            goodput_xrp_s: "{:.2}",
+            completed,
+            attempted,
+            units_dropped_fault,
+            units_dropped_shed,
+            units_dropped_admission,
+            admission_deferred,
+            retries,
+            avg_completion_s: "{:.4}" => OrElse(*avg_completion_s, ""),
+            latency_p50_s: "{:.4}" => OrElse(*latency_p50_s, ""),
+            latency_p99_s: "{:.4}" => OrElse(*latency_p99_s, ""),
+            hotspot_channel => OrElse(*hotspot_channel, ""),
+            hotspot_score: "{:.4}" => OrElse(*hotspot_score, ""),
+            profile_calendar_pop_s: "{:.6}" => OrElse(*profile_calendar_pop_s, ""),
+            profile_routing_s: "{:.6}" => OrElse(*profile_routing_s, ""),
+            profile_forwarding_s: "{:.6}" => OrElse(*profile_forwarding_s, ""),
+            profile_settlement_s: "{:.6}" => OrElse(*profile_settlement_s, ""),
+            profile_churn_repair_s: "{:.6}" => OrElse(*profile_churn_repair_s, ""),
+            profile_sampling_s: "{:.6}" => OrElse(*profile_sampling_s, ""),
+        })
+    };
+}
+
+/// CSV header matching [`to_csv_row`]: the [`FigureRow`] field names.
+pub const CSV_HEADER: &str = figure_row_columns!(header:);
 
 /// One CSV line (no trailing newline).
 pub fn to_csv_row(row: &FigureRow) -> String {
-    let opt = |v: Option<f64>| v.map(|v| format!("{v:.4}")).unwrap_or_default();
-    // Phase wall times are often well under a millisecond per phase, so
-    // they keep microsecond resolution.
-    let opt6 = |v: Option<f64>| v.map(|v| format!("{v:.6}")).unwrap_or_default();
-    format!(
-        "{},{},{},{},{:.4},{:.4},{:.2},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-        row.experiment,
-        row.scheme,
-        row.parameter,
-        row.value,
-        row.success_ratio_pct,
-        row.success_volume_pct,
-        row.goodput_xrp_s,
-        row.completed,
-        row.attempted,
-        row.units_dropped_fault,
-        row.units_dropped_shed,
-        row.units_dropped_admission,
-        row.admission_deferred,
-        row.retries,
-        opt(row.avg_completion_s),
-        opt(row.latency_p50_s),
-        opt(row.latency_p99_s),
-        row.hotspot_channel
-            .map(|c| c.to_string())
-            .unwrap_or_default(),
-        opt(row.hotspot_score),
-        opt6(row.profile_calendar_pop_s),
-        opt6(row.profile_routing_s),
-        opt6(row.profile_forwarding_s),
-        opt6(row.profile_settlement_s),
-        opt6(row.profile_churn_repair_s),
-        opt6(row.profile_sampling_s),
-    )
+    let mut out = String::with_capacity(256);
+    figure_row_columns!(csv(out, row):);
+    out
 }
 
 /// Whole CSV document.

@@ -5,7 +5,7 @@
 //! lifted out of the token stream (so a hazard pattern quoted in a string or
 //! doc comment never fires), but both are retained on the side: comments feed
 //! the `// lint: allow(...)` pragma lookup, and string literals feed the
-//! cross-file consistency checks (trace event names, CSV headers).
+//! cross-file consistency check (trace event names).
 
 /// What a token is, at the granularity the rules need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! `--check` exits 0 only when the tree lints clean: no determinism
-//! hazards, no consistency drift, and panic-site counts at or below the
-//! committed baseline. The ratchet summary prints on every run so drift
+//! hazards, no drift between the trace event names and the CI allowlist,
+//! and panic-site counts at or below the committed baseline. The ratchet summary prints on every run so drift
 //! stays visible in CI logs.
 
 use std::process::ExitCode;
@@ -114,7 +114,7 @@ fn print_usage() {
     println!(
         "spider-lint: workspace determinism/consistency static analysis\n\n\
          USAGE:\n  cargo run -p spider-lint -- [--check | --update-baseline] [--root <dir>]\n\n\
-         MODES:\n  --check            run all rules + the panic-site ratchet (default)\n  \
+         MODES:\n  --check            run all rules, the trace-event/CI-allowlist check\n                     and the panic-site ratchet (default)\n  \
          --update-baseline  recount panic sites and rewrite crates/lint/baseline.toml\n\n\
          Suppress a finding with `// lint: allow(<rule>): <why>` on the flagged\n\
          line or in the comment block above it. Rules: unordered-iter,\n\

@@ -23,17 +23,11 @@
 //! and sorted with explicit tie-breaks — no hash-order escape — so the
 //! hotspot table is golden-testable like every other artifact.
 
+use crate::artifact_row;
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 
 /// Hotspot rows kept in `SimReport` (the reduction's K).
 pub const HOTSPOT_K: usize = 8;
-
-/// Column names of the hotspot table, in [`ChannelHotspot`] field order.
-/// Spider-lint cross-checks this against the struct fields and the JSONL
-/// renderer below.
-pub const HOTSPOT_HEADER: &str =
-    "channel,util_frac,zero_liquidity_s,imbalance_frac,queue_residency_s,drops,bottlenecks,score";
 
 /// One channel's state at an integration step, computed by the engine
 /// (the obs crate never sees `ChannelState` itself).
@@ -197,44 +191,26 @@ impl ChannelAttribution {
     }
 }
 
-/// Renders hotspot rows as a JSON array with fixed field order matching
-/// [`HOTSPOT_HEADER`], for embedding in bench artifacts.
+/// Renders hotspot rows as a JSON array, keys in [`ChannelHotspot`]
+/// field order, for embedding in bench artifacts.
 pub fn hotspots_to_json_array(rows: &[ChannelHotspot]) -> String {
     let mut out = String::from("[");
     for (i, h) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write!(
-            out,
-            "{{\"channel\":{},\"util_frac\":{:.6},\"zero_liquidity_s\":{:.6},\
-             \"imbalance_frac\":{:.6},\"queue_residency_s\":{:.6},\"drops\":{},\
-             \"bottlenecks\":{},\"score\":{:.6}}}",
-            h.channel,
-            h.util_frac,
-            h.zero_liquidity_s,
-            h.imbalance_frac,
-            h.queue_residency_s,
-            h.drops,
-            h.bottlenecks,
-            h.score
-        )
-        .expect("string write");
+        artifact_row!(json(out, h): ChannelHotspot {
+            channel,
+            util_frac: "{:.6}",
+            zero_liquidity_s: "{:.6}",
+            imbalance_frac: "{:.6}",
+            queue_residency_s: "{:.6}",
+            drops,
+            bottlenecks,
+            score: "{:.6}",
+        });
     }
     out.push(']');
-    out
-}
-
-/// Renders hotspot rows as JSONL, one object per line, same field order
-/// as [`hotspots_to_json_array`].
-pub fn hotspots_to_jsonl(rows: &[ChannelHotspot]) -> String {
-    let mut out = String::new();
-    for h in rows {
-        let obj = hotspots_to_json_array(std::slice::from_ref(h));
-        // Strip the array brackets: each line is the bare object.
-        out.push_str(&obj[1..obj.len() - 1]);
-        out.push('\n');
-    }
     out
 }
 
@@ -322,18 +298,15 @@ mod tests {
         let rows = a.finish(8);
         let arr = hotspots_to_json_array(&rows);
         assert_eq!(arr, hotspots_to_json_array(&rows), "rendering must be pure");
-        assert!(arr.starts_with('[') && arr.ends_with(']'), "{arr}");
-        for col in HOTSPOT_HEADER.split(',') {
-            assert!(
-                arr.contains(&format!("\"{col}\":")),
-                "missing {col} in {arr}"
-            );
-        }
-        let lines = hotspots_to_jsonl(&rows);
-        assert_eq!(lines.lines().count(), rows.len());
-        for line in lines.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
+        assert_eq!(
+            arr,
+            "[{\"channel\":0,\"util_frac\":0.000000,\"zero_liquidity_s\":0.000000,\
+             \"imbalance_frac\":0.000000,\"queue_residency_s\":0.000000,\"drops\":1,\
+             \"bottlenecks\":0,\"score\":2.000000},\
+             {\"channel\":1,\"util_frac\":0.000000,\"zero_liquidity_s\":0.000000,\
+             \"imbalance_frac\":0.000000,\"queue_residency_s\":0.000000,\"drops\":0,\
+             \"bottlenecks\":1,\"score\":2.000000}]"
+        );
     }
 
     #[test]
@@ -342,6 +315,5 @@ mod tests {
         assert!(a.is_empty());
         assert!(a.finish(8).is_empty());
         assert_eq!(hotspots_to_json_array(&[]), "[]");
-        assert_eq!(hotspots_to_jsonl(&[]), "");
     }
 }

@@ -24,6 +24,8 @@
 //!   [`ChannelHotspot`] table.
 //! * [`forensics`] — a bounded [`FlightRecorder`] ring of structured
 //!   per-drop records plus an exact reason×channel root-cause table.
+//! * [`row`] — [`artifact_row!`], which renders an artifact row (CSV
+//!   line, JSON object, header) from one list of its struct's fields.
 //! * [`report`] — the artifact-diff core behind the `spider-report`
 //!   bin: [`RunRecord`]s in, a threshold-gated [`RunDiff`] out.
 //!
@@ -40,15 +42,15 @@ pub mod forensics;
 pub mod hist;
 pub mod profile;
 pub mod report;
+pub mod row;
 pub mod sampler;
 pub mod trace;
 
-pub use attribution::{
-    ChannelAttribution, ChannelHotspot, ChannelSample, HOTSPOT_HEADER, HOTSPOT_K,
-};
-pub use forensics::{DropRecord, FlightRecorder, RootCauseRow, FORENSICS_HEADER, ROOTCAUSE_HEADER};
+pub use attribution::{ChannelAttribution, ChannelHotspot, ChannelSample, HOTSPOT_K};
+pub use forensics::{DropRecord, FlightRecorder, RootCauseRow};
 pub use hist::Histogram;
 pub use profile::{Phase, PhaseStats, ProfileStats, Profiler};
 pub use report::{DiffThresholds, HotspotDelta, MetricDelta, RunDiff, RunRecord};
+pub use row::OrElse;
 pub use sampler::{SampleSeries, SampleSet, Sampler, SamplerConfig, NUM_SERIES, SERIES_NAMES};
 pub use trace::{Trace, TraceEvent, TraceEventKind, TraceSink};

@@ -237,23 +237,6 @@ pub struct Trace {
     pub paths: Vec<(u64, Vec<u32>)>,
 }
 
-/// Canonical wire spelling of a [`DropReason`], shared by the trace
-/// renderers and the forensics flight recorder so every artifact names
-/// reasons identically.
-pub fn reason_str(r: DropReason) -> &'static str {
-    match r {
-        DropReason::QueueTimeout => "queue_timeout",
-        DropReason::QueueOverflow => "queue_overflow",
-        DropReason::Expired => "expired",
-        DropReason::ChannelClosed => "channel_closed",
-        DropReason::MessageLost => "message_lost",
-        DropReason::HopTimeout => "hop_timeout",
-        DropReason::NodeCrashed => "node_crashed",
-        DropReason::Shed => "shed",
-        DropReason::AdmissionRejected => "admission_rejected",
-    }
-}
-
 impl Trace {
     /// Iterates events in sequence order.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
@@ -357,7 +340,7 @@ impl Trace {
                     out,
                     "\"ev\":\"drop\",\"unit\":{},\"reason\":\"{}\"",
                     unit,
-                    reason_str(*reason)
+                    reason.name()
                 ),
                 TraceEventKind::UnitAcked {
                     payment,
@@ -405,7 +388,7 @@ impl Trace {
                     "\"ev\":\"refund\",\"payment\":{},\"amount_drops\":{},\"reason\":\"{}\"",
                     payment.0,
                     amount.drops(),
-                    reason_str(*reason)
+                    reason.name()
                 ),
             }
             .expect("string write");
@@ -478,7 +461,7 @@ impl Trace {
                     emit(
                         format!(
                             "{{\"name\":\"drop:{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"t\"}}",
-                            reason_str(*reason),
+                            reason.name(),
                             e.t_us,
                             unit
                         ),
@@ -491,7 +474,7 @@ impl Trace {
                     emit(
                         format!(
                             "{{\"name\":\"refund:{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"t\"}}",
-                            reason_str(*reason),
+                            reason.name(),
                             e.t_us,
                             payment.0
                         ),

@@ -49,9 +49,8 @@ pub use router::{
     UnitOutcome,
 };
 pub use spider_obs::{
-    ChannelHotspot, DiffThresholds, DropRecord, FlightRecorder, Histogram, PhaseStats,
-    ProfileStats, RootCauseRow, RunDiff, RunRecord, SampleSet, Trace, FORENSICS_HEADER,
-    HOTSPOT_HEADER, ROOTCAUSE_HEADER,
+    artifact_row, ChannelHotspot, DiffThresholds, DropRecord, FlightRecorder, Histogram, OrElse,
+    PhaseStats, ProfileStats, RootCauseRow, RunDiff, RunRecord, SampleSet, Trace,
 };
 pub use workload::{
     ArrivalSource, SizeDistribution, StreamingWorkload, TxnSpec, Workload, WorkloadConfig,

@@ -15,12 +15,10 @@ use spider_types::{Amount, DropReason, SimDuration, SimTime};
 /// [`SimReport::units_dropped`] — the drop-reason conservation law the
 /// integration tests assert, including under churn.
 ///
-/// Exhaustiveness is enforced statically: spider-lint's consistency rule
-/// checks that every `DropReason` variant is referenced in this file (the
-/// match arms below) and in the trace renderers, so adding a variant
-/// without extending the breakdown fails
-/// `cargo run -p spider-lint -- --check` rather than silently leaking
-/// drops out of the conservation law.
+/// The named fields are the serialized schema. [`DropBreakdown::get`] and
+/// [`DropBreakdown::slot_mut`] map reasons to fields with one exhaustive
+/// match each, so a new `DropReason` variant fails to compile until it
+/// has a field; the sums iterate [`DropReason::ALL`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DropBreakdown {
     /// Units that waited in a router queue past the configured bound.
@@ -45,38 +43,42 @@ pub struct DropBreakdown {
 }
 
 impl DropBreakdown {
+    /// Units dropped for `reason`.
+    pub fn get(&self, reason: DropReason) -> u64 {
+        // Reads through `slot_mut` on a copy so the reason → field map is
+        // written once.
+        let mut copy = *self;
+        *copy.slot_mut(reason)
+    }
+
+    /// The counter for `reason`.
+    pub fn slot_mut(&mut self, reason: DropReason) -> &mut u64 {
+        match reason {
+            DropReason::QueueTimeout => &mut self.queue_timeout,
+            DropReason::QueueOverflow => &mut self.queue_overflow,
+            DropReason::Expired => &mut self.expired,
+            DropReason::ChannelClosed => &mut self.channel_closed,
+            DropReason::MessageLost => &mut self.message_lost,
+            DropReason::HopTimeout => &mut self.hop_timeout,
+            DropReason::NodeCrashed => &mut self.node_crashed,
+            DropReason::Shed => &mut self.shed,
+            DropReason::AdmissionRejected => &mut self.admission_rejected,
+        }
+    }
+
     /// Sum over all reasons.
     pub fn total(&self) -> u64 {
-        self.queue_timeout
-            + self.queue_overflow
-            + self.expired
-            + self.channel_closed
-            + self.message_lost
-            + self.hop_timeout
-            + self.node_crashed
-            + self.shed
-            + self.admission_rejected
+        DropReason::ALL.iter().map(|&r| self.get(r)).sum()
     }
 
     /// Sum over the fault-injected reasons only (see
     /// [`DropReason::is_fault`]).
     pub fn fault_total(&self) -> u64 {
-        self.message_lost + self.hop_timeout + self.node_crashed
-    }
-
-    /// Counts one drop.
-    fn count(&mut self, reason: DropReason) {
-        match reason {
-            DropReason::QueueTimeout => self.queue_timeout += 1,
-            DropReason::QueueOverflow => self.queue_overflow += 1,
-            DropReason::Expired => self.expired += 1,
-            DropReason::ChannelClosed => self.channel_closed += 1,
-            DropReason::MessageLost => self.message_lost += 1,
-            DropReason::HopTimeout => self.hop_timeout += 1,
-            DropReason::NodeCrashed => self.node_crashed += 1,
-            DropReason::Shed => self.shed += 1,
-            DropReason::AdmissionRejected => self.admission_rejected += 1,
-        }
+        DropReason::ALL
+            .iter()
+            .filter(|r| r.is_fault())
+            .map(|&r| self.get(r))
+            .sum()
     }
 }
 
@@ -437,7 +439,7 @@ impl MetricsCollector {
     /// per-reason counts must sum to the drop total.
     pub fn unit_dropped(&mut self, reason: DropReason) {
         self.units_dropped += 1;
-        self.drops_by_reason.count(reason);
+        *self.drops_by_reason.slot_mut(reason) += 1;
     }
 
     /// Records one hop's queueing delay for a serviced unit; `first_wait`
@@ -687,6 +689,23 @@ mod tests {
         assert_eq!(r.drops_by_reason.total(), r.units_dropped);
         assert_eq!(r.drops_by_reason.fault_total(), 4);
         assert_eq!(r.units_dropped_fault, 4);
+    }
+
+    #[test]
+    fn all_reaches_every_serialized_breakdown_field() {
+        let mut d = DropBreakdown::default();
+        for r in DropReason::ALL {
+            *d.slot_mut(r) += 1;
+            assert_eq!(d.get(r), 1, "{r:?}");
+        }
+        let v = serde::Serialize::to_value(&d);
+        let fields: Vec<_> = v.as_object().into_iter().flatten().collect();
+        assert_eq!(fields.len(), DropReason::ALL.len());
+        for (name, count) in fields {
+            assert_eq!(count.as_u64(), Some(1), "field {name} not reached by ALL");
+        }
+        assert_eq!(d.total(), DropReason::ALL.len() as u64);
+        assert_eq!(d.fault_total(), 3);
     }
 
     #[test]

@@ -53,7 +53,10 @@ impl Default for MarkStamp {
 }
 
 /// Why a transaction unit was dropped before reaching its destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The derived order is declaration order, the same order as
+/// [`DropReason::ALL`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum DropReason {
     /// The unit waited in a router queue longer than the configured bound.
     QueueTimeout,
@@ -84,6 +87,37 @@ pub enum DropReason {
 }
 
 impl DropReason {
+    /// Every reason, in declaration order. Per-reason counters, artifact
+    /// keys and tables iterate this instead of listing the reasons again.
+    pub const ALL: [DropReason; 9] = [
+        DropReason::QueueTimeout,
+        DropReason::QueueOverflow,
+        DropReason::Expired,
+        DropReason::ChannelClosed,
+        DropReason::MessageLost,
+        DropReason::HopTimeout,
+        DropReason::NodeCrashed,
+        DropReason::Shed,
+        DropReason::AdmissionRejected,
+    ];
+
+    /// Canonical wire spelling, shared by every artifact that names a
+    /// reason: trace events, forensics records, the root-cause table and
+    /// the `drops_<name>` keys of the engine benchmark.
+    pub fn name(self) -> &'static str {
+        match self {
+            DropReason::QueueTimeout => "queue_timeout",
+            DropReason::QueueOverflow => "queue_overflow",
+            DropReason::Expired => "expired",
+            DropReason::ChannelClosed => "channel_closed",
+            DropReason::MessageLost => "message_lost",
+            DropReason::HopTimeout => "hop_timeout",
+            DropReason::NodeCrashed => "node_crashed",
+            DropReason::Shed => "shed",
+            DropReason::AdmissionRejected => "admission_rejected",
+        }
+    }
+
     /// True for the drop reasons produced only by fault injection
     /// (`spider-faults`): lost messages, hop timeouts, node crashes.
     /// Zero-fault runs never produce these, which is what lets retry
@@ -128,21 +162,20 @@ mod tests {
         let v = serde::Serialize::to_value(&s);
         let back: MarkStamp = serde::Deserialize::from_value(&v).unwrap();
         assert_eq!(back, s);
-        for r in [
-            DropReason::QueueTimeout,
-            DropReason::QueueOverflow,
-            DropReason::Expired,
-            DropReason::ChannelClosed,
-            DropReason::MessageLost,
-            DropReason::HopTimeout,
-            DropReason::NodeCrashed,
-            DropReason::Shed,
-            DropReason::AdmissionRejected,
-        ] {
+        for r in DropReason::ALL {
             let v = serde::Serialize::to_value(&r);
             let back: DropReason = serde::Deserialize::from_value(&v).unwrap();
             assert_eq!(back, r);
         }
+    }
+
+    #[test]
+    fn all_is_in_declaration_order_with_distinct_names() {
+        assert!(DropReason::ALL.is_sorted());
+        let mut names: Vec<&str> = DropReason::ALL.iter().map(|r| r.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), DropReason::ALL.len());
     }
 
     #[test]
