@@ -32,9 +32,10 @@
 
 use spider_core::experiment::demand_graph;
 use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
+use spider_paygraph::PaymentGraph;
 use spider_sim::{
-    QueueConfig, QueueingMode, SimConfig, SimReport, Simulation, SizeDistribution, SlabStats,
-    StreamingWorkload, Workload, WorkloadConfig,
+    ArrivalSource, InvariantReport, QueueConfig, QueueingMode, SimConfig, SimReport, Simulation,
+    SizeDistribution, SlabStats, StreamingWorkload, Workload, WorkloadConfig,
 };
 use spider_types::{Amount, DetRng, DropReason, SimDuration};
 use std::fmt::Write as _;
@@ -237,7 +238,7 @@ fn run_case(case: &BenchCase) -> BenchRun {
     let rng = DetRng::new(cfg.seed);
     let topo = cfg.topology.build(&rng).expect("topology builds");
     let mut wrng = rng.fork("workload");
-    let mut sim = if case.streaming {
+    let (source, demands): (ArrivalSource, PaymentGraph) = if case.streaming {
         // Paper-scale rows: hand the engine the lazy generator. The
         // streamed schemes ignore the demand matrix, so nothing needs
         // the materialized list — enforce that, or a future
@@ -250,19 +251,17 @@ fn run_case(case: &BenchCase) -> BenchRun {
             cfg.scheme.name(),
         );
         let stream = StreamingWorkload::new(topo.node_count(), cfg.workload.clone(), wrng);
-        let demands = spider_paygraph::PaymentGraph::new(topo.node_count());
-        let router = cfg
-            .scheme
-            .build(&topo, &demands, cfg.sim.confirmation_delay.as_secs_f64());
-        Simulation::new(topo, stream, router, cfg.effective_sim()).expect("simulation builds")
+        (stream.into(), PaymentGraph::new(topo.node_count()))
     } else {
         let workload = Workload::generate(topo.node_count(), &cfg.workload, &mut wrng);
         let demands = demand_graph(&workload, topo.node_count());
-        let router = cfg
-            .scheme
-            .build(&topo, &demands, cfg.sim.confirmation_delay.as_secs_f64());
-        Simulation::new(topo, workload, router, cfg.effective_sim()).expect("simulation builds")
+        (workload.into(), demands)
     };
+    let router = cfg
+        .scheme
+        .build(&topo, &demands, cfg.sim.confirmation_delay.as_secs_f64());
+    let mut sim =
+        Simulation::new(topo, source, router, cfg.effective_sim()).expect("simulation builds");
     let t0 = Instant::now();
     let report = sim.run();
     let wall_seconds = t0.elapsed().as_secs_f64();
@@ -438,9 +437,11 @@ fn run_trace_smoke(seed: u64, out_dir: &PathBuf, full: bool) {
     // stack observes without perturbing: traced+attributed+forensics
     // outcomes must be bit-identical to the bare run.
     let mut ocfg = cfg.clone();
+    ocfg.sim.obs.trace = true;
     ocfg.sim.obs.attribution = true;
     ocfg.sim.obs.forensics_capacity = 4_096;
-    let (report, trace) = ocfg.run_traced().expect("traced run");
+    let traced = ocfg.simulate(None).expect("traced run");
+    let (report, trace) = (traced.report, traced.trace.expect("tracing was enabled"));
     let untraced = cfg.run().expect("untraced run");
     assert_eq!(
         report.completed_payments, untraced.completed_payments,
@@ -502,8 +503,9 @@ fn run_trace_smoke(seed: u64, out_dir: &PathBuf, full: bool) {
 /// monitor auditing at a tight cadence, once with it off — and require
 /// the two reports to serialize bit-for-bit identically: the monitor
 /// observes conservation, queue accounting and drop bookkeeping, it
-/// never steers. Panics (the monitor's own job) or any report delta
-/// fail the smoke.
+/// never steers. Any report delta fails the smoke, and so does an
+/// invariant report that is missing, ran no sweep, or recorded a
+/// violation.
 fn run_monitor_smoke(seed: u64) {
     let mut cfg = with_scheme(
         isp_base(3_000, seed),
@@ -527,17 +529,27 @@ fn run_monitor_smoke(seed: u64) {
     });
     let mut monitored_cfg = cfg.clone();
     monitored_cfg.sim.obs.invariants_every = 64;
-    let monitored = monitored_cfg.run().expect("monitored run");
+    let run = monitored_cfg.simulate(None).expect("monitored run");
+    let (monitored, invariants) = (run.report, run.invariants);
     let bare = cfg.run().expect("unmonitored run");
     let m = serde_json::to_string(&monitored).expect("report serializes");
     let b = serde_json::to_string(&bare).expect("report serializes");
     assert_eq!(m, b, "the invariant monitor changed the report");
+    let checks_run = invariants.as_ref().map_or(0, |inv| inv.checks_run);
+    assert!(checks_run > 0, "the invariant monitor ran no sweep");
+    assert!(
+        invariants.as_ref().is_some_and(InvariantReport::is_clean),
+        "the invariant monitor recorded violations:\n{}",
+        invariants
+            .as_ref()
+            .map_or(String::new(), InvariantReport::to_jsonl)
+    );
     assert!(
         monitored.drops_by_reason.admission_rejected > 0,
         "monitor smoke never tripped admission control — not auditing overload"
     );
     eprintln!(
-        "monitor smoke ok: monitored == unmonitored bit-for-bit \
+        "monitor smoke ok: monitored == unmonitored bit-for-bit, {checks_run} clean sweeps \
          ({} payments, {} shed, {} admission-rejected)",
         monitored.attempted_payments,
         monitored.drops_by_reason.shed,

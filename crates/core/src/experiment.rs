@@ -6,7 +6,10 @@ use spider_dynamics::{ChurnSchedule, DynamicsConfig};
 use spider_faults::{FaultConfig, FaultPlan};
 use spider_overload::{OverloadConfig, OverloadPlan};
 use spider_paygraph::PaymentGraph;
-use spider_sim::{SimConfig, SimReport, Simulation, Workload, WorkloadConfig};
+use spider_sim::{
+    FlightRecorder, InvariantReport, Router, SimConfig, SimReport, Simulation, Trace, Workload,
+    WorkloadConfig,
+};
 use spider_topology::{analysis, gen, Topology};
 use spider_types::{Amount, DetRng, Result, SimTime, SpiderError};
 
@@ -108,6 +111,23 @@ impl TopologyConfig {
     }
 }
 
+/// Everything one [`ExperimentConfig::simulate`] run produced: the
+/// report plus each observability artifact the engine config enabled.
+#[derive(Debug)]
+pub struct RunArtifacts {
+    /// The run's report.
+    pub report: SimReport,
+    /// The sealed payment-lifecycle trace; present exactly when
+    /// `sim.obs.trace` was set.
+    pub trace: Option<Trace>,
+    /// The drop-forensics flight recorder; present exactly when
+    /// `sim.obs.forensics_capacity` was nonzero.
+    pub forensics: Option<FlightRecorder>,
+    /// The runtime invariant monitor's report; present exactly when
+    /// `sim.obs.invariants_every` was nonzero.
+    pub invariants: Option<InvariantReport>,
+}
+
 /// A complete experiment description.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentConfig {
@@ -177,56 +197,48 @@ impl ExperimentConfig {
         sim
     }
 
+    /// Runs the experiment end to end and returns the report; shorthand
+    /// for [`ExperimentConfig::simulate`] with the registry scheme.
+    pub fn run(&self) -> Result<SimReport> {
+        self.simulate(None).map(|run| run.report)
+    }
+
     /// Runs the experiment end to end: build topology, generate workload,
     /// estimate the demand matrix (for Spider (LP)), instantiate the
-    /// scheme, simulate, and verify fund conservation.
+    /// scheme, install the churn, fault and overload plans, simulate, and
+    /// verify fund conservation. Returns the report together with every
+    /// observability artifact `sim.obs` enabled (see [`RunArtifacts`]);
+    /// recording observes without touching event order, so the report is
+    /// the same whichever artifacts are on.
+    ///
+    /// `router` replaces the [`SchemeConfig`] registry with a caller-built
+    /// router (e.g. the AIMD [`Windowed`](crate::congestion::Windowed)
+    /// wrapper): it gets no demand matrix and runs `self.sim` verbatim,
+    /// without [`ExperimentConfig::effective_sim`]'s adjustments.
     ///
     /// Simulations start with warm candidate caches: the engine hands the
-    /// workload's distinct (src, dst) pairs to
-    /// [`Router::prewarm`](spider_sim::Router::prewarm), and the
-    /// source-routed schemes batch-fill their per-pair path sets through
-    /// `spider_routing::PathCache::prefill` instead of paying k BFS
-    /// traversals per pair on the routing hot path (see
+    /// workload's distinct (src, dst) pairs to [`Router::prewarm`], and
+    /// the source-routed schemes batch-fill their per-pair path sets
+    /// through `spider_routing::PathCache::prefill` instead of paying k
+    /// BFS traversals per pair on the routing hot path (see
     /// `BENCH_pathfill.json`).
-    pub fn run(&self) -> Result<SimReport> {
+    pub fn simulate(&self, router: Option<Box<dyn Router>>) -> Result<RunArtifacts> {
         let rng = DetRng::new(self.seed);
         let topo = self.topology.build(&rng)?;
         let mut wrng = rng.fork("workload");
         let mut workload = Workload::generate(topo.node_count(), &self.workload, &mut wrng);
-        let demands = demand_graph(&workload, topo.node_count());
+        // Demand is estimated before the overload transform: the offline
+        // schemes plan for normal traffic; the attack is a surprise.
+        let (router, cfg) = match router {
+            Some(router) => (router, self.sim.clone()),
+            None => {
+                let demands = demand_graph(&workload, topo.node_count());
+                let delay = self.sim.confirmation_delay.as_secs_f64();
+                let router = self.scheme.build(&topo, &demands, delay);
+                (router, self.effective_sim())
+            }
+        };
         let overload = self.apply_overload(&rng, &topo, &mut workload)?;
-        let router = self
-            .scheme
-            .build(&topo, &demands, self.sim.confirmation_delay.as_secs_f64());
-        let mut sim = Simulation::new(topo, workload, router, self.effective_sim())?;
-        self.install_dynamics(&mut sim, &rng)?;
-        self.install_faults(&mut sim, &rng)?;
-        if let Some(plan) = overload {
-            sim.set_overload_plan(plan);
-        }
-        let report = sim.run();
-        sim.check_conservation();
-        Ok(report)
-    }
-
-    /// [`ExperimentConfig::run`] with payment-lifecycle tracing forced on:
-    /// returns the report together with the sealed
-    /// [`Trace`](spider_sim::Trace) (JSONL / Chrome-renderable). The
-    /// engine run is otherwise identical — tracing records observations
-    /// without touching event order — so the report matches what
-    /// [`ExperimentConfig::run`] produces for the same seed.
-    pub fn run_traced(&self) -> Result<(SimReport, spider_sim::Trace)> {
-        let rng = DetRng::new(self.seed);
-        let topo = self.topology.build(&rng)?;
-        let mut wrng = rng.fork("workload");
-        let mut workload = Workload::generate(topo.node_count(), &self.workload, &mut wrng);
-        let demands = demand_graph(&workload, topo.node_count());
-        let overload = self.apply_overload(&rng, &topo, &mut workload)?;
-        let router = self
-            .scheme
-            .build(&topo, &demands, self.sim.confirmation_delay.as_secs_f64());
-        let mut cfg = self.effective_sim();
-        cfg.obs.trace = true;
         let mut sim = Simulation::new(topo, workload, router, cfg)?;
         self.install_dynamics(&mut sim, &rng)?;
         self.install_faults(&mut sim, &rng)?;
@@ -235,43 +247,12 @@ impl ExperimentConfig {
         }
         let report = sim.run();
         sim.check_conservation();
-        let trace = sim.take_trace().expect("tracing was enabled");
-        Ok((report, trace))
-    }
-
-    /// [`ExperimentConfig::run`] with the drop-forensics flight recorder
-    /// forced on: returns the report together with the sealed
-    /// [`FlightRecorder`](spider_sim::FlightRecorder) holding one
-    /// structured record per dropped unit plus the exact reason×channel
-    /// root-cause table. A configured `obs.forensics_capacity` is
-    /// respected; when left at `0` (disabled) the recorder ring holds the
-    /// last 65 536 drops. Recording observes drops without touching event
-    /// order, so the report matches what [`ExperimentConfig::run`]
-    /// produces for the same seed.
-    pub fn run_forensics(&self) -> Result<(SimReport, spider_sim::FlightRecorder)> {
-        let rng = DetRng::new(self.seed);
-        let topo = self.topology.build(&rng)?;
-        let mut wrng = rng.fork("workload");
-        let mut workload = Workload::generate(topo.node_count(), &self.workload, &mut wrng);
-        let demands = demand_graph(&workload, topo.node_count());
-        let overload = self.apply_overload(&rng, &topo, &mut workload)?;
-        let router = self
-            .scheme
-            .build(&topo, &demands, self.sim.confirmation_delay.as_secs_f64());
-        let mut cfg = self.effective_sim();
-        if cfg.obs.forensics_capacity == 0 {
-            cfg.obs.forensics_capacity = 65_536;
-        }
-        let mut sim = Simulation::new(topo, workload, router, cfg)?;
-        self.install_dynamics(&mut sim, &rng)?;
-        self.install_faults(&mut sim, &rng)?;
-        if let Some(plan) = overload {
-            sim.set_overload_plan(plan);
-        }
-        let report = sim.run();
-        sim.check_conservation();
-        let forensics = sim.take_forensics().expect("forensics was enabled");
-        Ok((report, forensics))
+        Ok(RunArtifacts {
+            report,
+            trace: sim.take_trace(),
+            forensics: sim.take_forensics(),
+            invariants: sim.take_invariant_report(),
+        })
     }
 
     /// Generates and installs the churn schedule, when configured.
@@ -326,54 +307,6 @@ impl ExperimentConfig {
         Ok(Some(plan))
     }
 
-    /// Runs the experiment's topology and workload against a caller-built
-    /// router (for schemes outside the [`SchemeConfig`] registry, e.g. the
-    /// AIMD [`Windowed`](crate::congestion::Windowed) wrapper), using
-    /// `self.sim` verbatim.
-    pub fn run_with_router(&self, router: Box<dyn spider_sim::Router>) -> Result<SimReport> {
-        let rng = DetRng::new(self.seed);
-        let topo = self.topology.build(&rng)?;
-        let mut wrng = rng.fork("workload");
-        let mut workload = Workload::generate(topo.node_count(), &self.workload, &mut wrng);
-        let overload = self.apply_overload(&rng, &topo, &mut workload)?;
-        let mut sim = Simulation::new(topo, workload, router, self.sim.clone())?;
-        self.install_dynamics(&mut sim, &rng)?;
-        self.install_faults(&mut sim, &rng)?;
-        if let Some(plan) = overload {
-            sim.set_overload_plan(plan);
-        }
-        let report = sim.run();
-        sim.check_conservation();
-        Ok(report)
-    }
-
-    /// [`ExperimentConfig::run_with_router`] with payment-lifecycle tracing
-    /// force-enabled, returning the sealed [`Trace`](spider_sim::Trace)
-    /// alongside the report (the traced twin of
-    /// [`ExperimentConfig::run_traced`] for caller-built routers).
-    pub fn run_with_router_traced(
-        &self,
-        router: Box<dyn spider_sim::Router>,
-    ) -> Result<(SimReport, spider_sim::Trace)> {
-        let rng = DetRng::new(self.seed);
-        let topo = self.topology.build(&rng)?;
-        let mut wrng = rng.fork("workload");
-        let mut workload = Workload::generate(topo.node_count(), &self.workload, &mut wrng);
-        let overload = self.apply_overload(&rng, &topo, &mut workload)?;
-        let mut cfg = self.sim.clone();
-        cfg.obs.trace = true;
-        let mut sim = Simulation::new(topo, workload, router, cfg)?;
-        self.install_dynamics(&mut sim, &rng)?;
-        self.install_faults(&mut sim, &rng)?;
-        if let Some(plan) = overload {
-            sim.set_overload_plan(plan);
-        }
-        let report = sim.run();
-        sim.check_conservation();
-        let trace = sim.take_trace().expect("tracing was enabled");
-        Ok((report, trace))
-    }
-
     /// Runs several schemes on the *identical* topology and workload (same
     /// seed), in parallel, returning reports in scheme order.
     pub fn run_schemes(&self, schemes: &[SchemeConfig]) -> Result<Vec<SimReport>> {
@@ -403,16 +336,17 @@ pub enum SweepJob {
         /// field is ignored).
         cfg: ExperimentConfig,
         /// Builds the router on the worker thread.
-        build: Box<dyn Fn() -> Box<dyn spider_sim::Router> + Send + Sync>,
+        build: Box<dyn Fn() -> Box<dyn Router> + Send + Sync>,
     },
 }
 
 impl SweepJob {
     fn run(&self) -> Result<SimReport> {
-        match self {
-            SweepJob::Scheme(cfg) => cfg.run(),
-            SweepJob::Custom { cfg, build } => cfg.run_with_router(build()),
-        }
+        let run = match self {
+            SweepJob::Scheme(cfg) => cfg.simulate(None),
+            SweepJob::Custom { cfg, build } => cfg.simulate(Some(build())),
+        };
+        run.map(|run| run.report)
     }
 }
 

@@ -34,6 +34,19 @@
 //! Pending lockstep settles and in-flight hop-by-hop units are also
 //! indexed per channel ([`ChannelIndex`]), so a topology-churn close
 //! touches only its own channel's work instead of walking the slabs.
+//!
+//! ## How a unit ends
+//!
+//! Every unit, lockstep or hop-by-hop, ends in one of two ways. Either
+//! its hops settle and `credit_unit` books the delivery (bottleneck
+//! hotspot, payment accounting, settle and completion metrics, the
+//! completion trace event), or they are refunded and `record_drop` books
+//! the drop (churn flag, per-reason counter, failing-hop hotspot,
+//! forensics record, retry of the returned value). A lockstep unit
+//! refunds its whole path through `refund_unit` and is traced as a
+//! `refund`; a hop-by-hop unit refunds the hops it locked in
+//! `drop_unit` and is traced as a `drop`. Each caller traces its own unit
+//! event before the shared booking, so both modes emit the same order.
 
 use crate::calendar::CalendarQueue;
 use crate::chanindex::ChannelIndex;
@@ -100,6 +113,24 @@ impl PaymentState {
     fn active(&self) -> bool {
         !self.completed && !self.expired && !self.unassigned().is_zero()
     }
+    /// The payment's units may no longer settle or move on: it was
+    /// canceled, or its deadline has passed.
+    fn lapsed(&self, now: SimTime) -> bool {
+        self.expired || now > self.deadline
+    }
+}
+
+/// The router's [`NetworkView`] of a [`Simulation`], borrowed field by
+/// field so `self.router` stays mutably borrowable beside it.
+macro_rules! view {
+    ($sim:expr) => {
+        NetworkView {
+            topo: &$sim.topo,
+            channels: &$sim.channels,
+            paths: &$sim.paths,
+            now: $sim.now,
+        }
+    };
 }
 
 #[derive(Debug)]
@@ -683,12 +714,7 @@ impl Simulation {
 
         self.router.configure(self.hop_by_hop());
         {
-            let view = NetworkView {
-                topo: &self.topo,
-                channels: &self.channels,
-                paths: &self.paths,
-                now: self.now,
-            };
+            let view = view!(self);
             self.router.initialize(&view);
             // The schedule's initial closes happened before the router
             // existed; tell it now, so prewarmed candidate sets respect
@@ -1295,15 +1321,7 @@ impl Simulation {
             attempt: p.attempts,
         };
         self.payments[pid].attempts += 1;
-        let proposals = {
-            let view = NetworkView {
-                topo: &self.topo,
-                channels: &self.channels,
-                paths: &self.paths,
-                now: self.now,
-            };
-            self.router.route(&req, &view)
-        };
+        let proposals = self.router.route(&req, &view!(self));
         if let Some(t) = self.trace.as_mut() {
             for prop in proposals.iter().take(self.config.max_proposals_per_poll) {
                 t.record(
@@ -1375,14 +1393,8 @@ impl Simulation {
             // and cancel its scheduled settlement.
             for (amount, path, event_id) in locked_units {
                 self.cancel_event(event_id);
-                let entry = self.paths.entry(path);
-                for &(c, dir) in entry.hops() {
-                    self.channels[c.index()].refund(dir, amount);
-                    if self.track_channels {
-                        self.settle_index.note_removed(c.index());
-                    }
-                }
-                self.payments[pid].inflight -= amount;
+                self.unindex_settle(path);
+                self.refund_unit(pid, amount, path, None, None);
             }
             self.payments[pid].expired = true;
         }
@@ -1430,13 +1442,7 @@ impl Simulation {
                 locked: ok,
                 fault: None,
             };
-            let view = NetworkView {
-                topo: &self.topo,
-                channels: &self.channels,
-                paths: &self.paths,
-                now: self.now,
-            };
-            self.router.on_unit_outcome(&outcome, &view);
+            self.router.on_unit_outcome(&outcome, &view!(self));
         }
         if ok {
             self.payments[pid].inflight += amount;
@@ -1466,66 +1472,40 @@ impl Simulation {
     }
 
     fn on_settle(&mut self, pid: usize, amount: Amount, path: PathId) {
-        let entry = self.paths.entry(path);
-        if self.track_channels {
-            // The settle event was just consumed either way (delivery or
-            // expiry rollback): its index entries are dead.
-            for &(c, _) in entry.hops() {
-                self.settle_index.note_removed(c.index());
-            }
-        }
+        // The settle event was just consumed whatever the outcome: its
+        // index entries are dead.
+        self.unindex_settle(path);
         // A unit whose payment deadline passed between lock and settle is
         // a real drop (counted and traced, exactly like the queueing-mode
         // expiry path); an atomic rollback is pure bookkeeping and stays
         // silent.
-        let deadline_expired = self.now > self.payments[pid].deadline;
-        if self.payments[pid].expired || deadline_expired {
-            for &(c, dir) in entry.hops() {
-                self.channels[c.index()].refund(dir, amount);
-            }
-            let p = &mut self.payments[pid];
-            p.inflight -= amount;
-            p.expired = true;
-            if deadline_expired {
-                self.metrics.unit_dropped(DropReason::Expired);
-                // Whole-path lockstep refund: no single failing hop.
-                self.forensic_drop(pid, path, None, DropReason::Expired);
-                if let Some(t) = self.trace.as_mut() {
-                    t.record(
-                        self.now.micros(),
-                        TraceEventKind::UnitRefunded {
-                            payment: PaymentId(pid as u64),
-                            amount,
-                            reason: DropReason::Expired,
-                        },
-                    );
-                }
-            }
+        if self.payments[pid].lapsed(self.now) {
+            let deadline_expired = self.now > self.payments[pid].deadline;
+            self.payments[pid].expired = true;
+            let reason = deadline_expired.then_some(DropReason::Expired);
+            self.refund_unit(pid, amount, path, reason, None);
             return;
         }
-        // Overload griefing (lockstep): the receiver withholds the key,
-        // so the settle refunds every hop — a stuck unit driven by the
-        // overload plan rather than a fault draw (which it preempts).
-        if self.overload_plan.is_some() && self.payments[pid].griefing {
-            let reason = DropReason::HopTimeout;
-            for &(c, dir) in entry.hops() {
-                self.channels[c.index()].refund(dir, amount);
+        // Overload griefing: the receiver withholds the key, so the settle
+        // refunds every hop — a stuck unit driven by the overload plan
+        // rather than a fault draw (which it preempts). Otherwise an
+        // installed fault plan draws the unit's transport verdict.
+        let fault = if self.overload_plan.is_some() && self.payments[pid].griefing {
+            Some(DropReason::HopTimeout)
+        } else if self.fault_plan.is_some() {
+            let verdict = self.lockstep_fault(path);
+            if verdict.is_some() {
+                self.metrics.fault_injected();
             }
-            self.payments[pid].inflight -= amount;
-            self.metrics.unit_dropped(reason);
-            self.forensic_drop(pid, path, None, reason);
-            if let Some(t) = self.trace.as_mut() {
-                t.record(
-                    self.now.micros(),
-                    TraceEventKind::UnitRefunded {
-                        payment: PaymentId(pid as u64),
-                        amount,
-                        reason,
-                    },
-                );
-            }
-            // Like fault outcomes, griefing bypasses the
-            // `router_observes` gate so backoff sees the failure.
+            verdict
+        } else {
+            None
+        };
+        if let Some(reason) = fault {
+            self.refund_unit(pid, amount, path, Some(reason), None);
+            // Fault outcomes bypass the `router_observes` gate: backoff
+            // must see failures even for routers that skip ordinary lock
+            // outcomes. Fault- and griefing-free runs never get here.
             let outcome = UnitOutcome {
                 payment: PaymentId(pid as u64),
                 path,
@@ -1533,63 +1513,31 @@ impl Simulation {
                 locked: true,
                 fault: Some(reason),
             };
-            let view = NetworkView {
-                topo: &self.topo,
-                channels: &self.channels,
-                paths: &self.paths,
-                now: self.now,
-            };
-            self.router.on_unit_outcome(&outcome, &view);
-            if !self.router.atomic() && self.payments[pid].active() {
-                self.pending_push(pid);
-            }
+            self.router.on_unit_outcome(&outcome, &view!(self));
             return;
         }
-        if self.fault_plan.is_some() {
-            if let Some(reason) = self.lockstep_fault(path) {
-                for &(c, dir) in entry.hops() {
-                    self.channels[c.index()].refund(dir, amount);
-                }
-                self.payments[pid].inflight -= amount;
-                self.metrics.fault_injected();
-                self.metrics.unit_dropped(reason);
-                self.forensic_drop(pid, path, None, reason);
-                if let Some(t) = self.trace.as_mut() {
-                    t.record(
-                        self.now.micros(),
-                        TraceEventKind::UnitRefunded {
-                            payment: PaymentId(pid as u64),
-                            amount,
-                            reason,
-                        },
-                    );
-                }
-                // Fault outcomes bypass the `router_observes` gate:
-                // backoff must see failures even for routers that skip
-                // ordinary lock outcomes. Fault-free runs never get here.
-                let outcome = UnitOutcome {
-                    payment: PaymentId(pid as u64),
-                    path,
-                    amount,
-                    locked: true,
-                    fault: Some(reason),
-                };
-                let view = NetworkView {
-                    topo: &self.topo,
-                    channels: &self.channels,
-                    paths: &self.paths,
-                    now: self.now,
-                };
-                self.router.on_unit_outcome(&outcome, &view);
-                if !self.router.atomic() && self.payments[pid].active() {
-                    self.pending_push(pid);
-                }
-                return;
-            }
-        }
+        let entry = self.paths.entry(path);
         for &(c, dir) in entry.hops() {
             self.channels[c.index()].settle(dir, amount);
         }
+        if let Some(t) = self.trace.as_mut() {
+            t.record(
+                self.now.micros(),
+                TraceEventKind::UnitSettled {
+                    payment: PaymentId(pid as u64),
+                    amount,
+                },
+            );
+        }
+        self.credit_unit(pid, amount, &entry);
+    }
+
+    /// Books a unit whose hops just settled: the delivered path's
+    /// bottleneck hotspot, the payment's delivered value, the settle
+    /// counters and, when the unit completes its payment, the completion
+    /// metrics and trace event. Shared by lockstep settlement and
+    /// hop-by-hop delivery; each caller traces its own unit event first.
+    fn credit_unit(&mut self, pid: usize, amount: Amount, entry: &PathEntry) {
         if let Some(attr) = self.attribution.as_mut() {
             // The delivered path's binding constraint: minimum post-settle
             // availability in the traversed direction, lowest id on ties.
@@ -1606,30 +1554,93 @@ impl Simulation {
         p.inflight -= amount;
         p.delivered += amount;
         self.metrics.unit_settled(amount, self.now);
-        let completed = if p.delivered == p.total {
-            p.completed = true;
-            let latency = self.now - p.arrival;
-            self.metrics.payment_completed(p.total, latency);
-            Some(latency)
-        } else {
-            None
-        };
+        if p.delivered != p.total {
+            return;
+        }
+        p.completed = true;
+        let latency = self.now - p.arrival;
+        self.metrics.payment_completed(p.total, latency);
         if let Some(t) = self.trace.as_mut() {
             t.record(
                 self.now.micros(),
-                TraceEventKind::UnitSettled {
+                TraceEventKind::PaymentCompleted {
                     payment: PaymentId(pid as u64),
-                    amount,
+                    latency_us: latency.micros(),
                 },
             );
-            if let Some(latency) = completed {
-                t.record(
-                    self.now.micros(),
-                    TraceEventKind::PaymentCompleted {
-                        payment: PaymentId(pid as u64),
-                        latency_us: latency.micros(),
-                    },
-                );
+        }
+    }
+
+    /// Ends a lockstep unit without settling it: refunds every hop of its
+    /// path and returns the value to the payment's unassigned pool. With
+    /// a `reason` the unit is dropped — booked by [`Self::record_drop`]
+    /// against the `failing` hop and traced as a refund; without one it
+    /// is the silent rollback of a payment that already ended.
+    fn refund_unit(
+        &mut self,
+        pid: usize,
+        amount: Amount,
+        path: PathId,
+        reason: Option<DropReason>,
+        failing: Option<ChannelId>,
+    ) {
+        for &(c, dir) in self.paths.entry(path).hops() {
+            self.channels[c.index()].refund(dir, amount);
+        }
+        self.payments[pid].inflight -= amount;
+        let Some(reason) = reason else {
+            return;
+        };
+        self.record_drop(pid, path, failing, reason);
+        if let Some(t) = self.trace.as_mut() {
+            t.record(
+                self.now.micros(),
+                TraceEventKind::UnitRefunded {
+                    payment: PaymentId(pid as u64),
+                    amount,
+                    reason,
+                },
+            );
+        }
+    }
+
+    /// Books one dropped unit, lockstep or hop-by-hop, after its hops were
+    /// refunded: the churn flag and counter for a channel close, the
+    /// per-reason drop counter, the failing hop's hotspot and the
+    /// forensics record. `failing` is the hop the unit failed at (`None`
+    /// for whole-path failures). The returned value is unassigned again,
+    /// so a payment that can still use it goes back on the retry queue
+    /// (it may have been fully in flight and therefore absent).
+    fn record_drop(
+        &mut self,
+        pid: usize,
+        path: PathId,
+        failing: Option<ChannelId>,
+        reason: DropReason,
+    ) {
+        if reason == DropReason::ChannelClosed {
+            self.payments[pid].churn_hit = true;
+            // Counted in both the total and the churn-specific drop
+            // counters, so `units_dropped_churn <= units_dropped` holds in
+            // every engine mode.
+            self.metrics.unit_dropped_churn();
+        }
+        self.metrics.unit_dropped(reason);
+        if let (Some(c), Some(attr)) = (failing, self.attribution.as_mut()) {
+            attr.drop_at(c.index());
+        }
+        self.forensic_drop(pid, path, failing, reason);
+        if !self.router.atomic() && self.payments[pid].active() {
+            self.pending_push(pid);
+        }
+    }
+
+    /// Forgets a consumed or canceled lockstep settle in the per-channel
+    /// index (maintained only while a churn schedule is installed).
+    fn unindex_settle(&mut self, path: PathId) {
+        if self.track_channels {
+            for &(c, _) in self.paths.entry(path).hops() {
+                self.settle_index.note_removed(c.index());
             }
         }
     }
@@ -1696,13 +1707,7 @@ impl Simulation {
                     locked: accepted,
                     fault: None,
                 };
-                let view = NetworkView {
-                    topo: &self.topo,
-                    channels: &self.channels,
-                    paths: &self.paths,
-                    now: self.now,
-                };
-                self.router.on_unit_outcome(&outcome, &view);
+                self.router.on_unit_outcome(&outcome, &view!(self));
             }
         }
     }
@@ -1743,20 +1748,16 @@ impl Simulation {
     /// is full. Returns whether the unit was accepted.
     fn inject_unit(&mut self, pid: usize, amount: Amount, path: PathId) -> bool {
         let entry = self.paths.entry(path);
-        // A path crossing a closed channel is rejected at the ingress
-        // (stale proposals can arrive in the same instant as a churn
-        // event); injecting would only convert the unit into a drop.
-        if entry
+        // A path crossing a closed channel (stale proposals can arrive in
+        // the same instant as a churn event) is rejected at the ingress,
+        // and so is one from a crashed sender, which can't originate
+        // traffic: injecting would only convert the unit into a drop.
+        // Never accepted, so no ack follows.
+        let closed = entry
             .hops()
             .iter()
-            .any(|&(c, _)| self.channels[c.index()].is_closed())
-        {
-            self.metrics.unit_lock(entry.hop_count(), false);
-            return false;
-        }
-        // A crashed sender can't originate traffic: rejected at the
-        // ingress like a closed channel, so no ack follows.
-        if self.node_crashed(entry.source()) {
+            .any(|&(c, _)| self.channels[c.index()].is_closed());
+        if closed || self.node_crashed(entry.source()) {
             self.metrics.unit_lock(entry.hop_count(), false);
             return false;
         }
@@ -1855,7 +1856,7 @@ impl Simulation {
             available_fraction,
             qcfg,
         );
-        let hop_delay = qcfg.hop_delay;
+        let mut hop_delay = qcfg.hop_delay;
         let u = &mut self.units[uid];
         u.stamp.absorb(signal.price, signal.marked, queue_delay);
         if !queue_delay.is_zero() {
@@ -1888,69 +1889,57 @@ impl Simulation {
         // injection, driven by the overload plan instead of a fault
         // draw). Checked before the fault draws so a griefing unit
         // consumes none of the fault stream.
-        if final_hop && self.payments[self.units[uid].payment].griefing {
-            let hold = self
-                .overload_plan
-                .as_ref()
-                .expect("griefing payments exist only under an overload plan")
-                .griefing_hold;
-            let ev = self.schedule(
-                self.now + hold,
-                EventKind::HopTimeout {
-                    unit: uid,
-                    reason: DropReason::HopTimeout,
-                },
-            );
-            self.units[uid].hop_event = Some(ev);
-            return;
-        }
+        //
         // Fault draws (installed plan only; fixed per-hop draw order:
         // loss, stuck, jitter, spike). A lost forwarding message — or, on
         // the final hop, a lost delivery ack — and a silently stuck unit
         // both arm the sender's per-hop timeout *instead of* the
         // forwarding event; when it fires, every locked hop is refunded.
-        let mut hop_delay = hop_delay;
-        if self.fault_plan.is_some() {
-            let (loss_p, stuck_p, jitter, spike_p, spike_ms, hop_timeout) = {
-                let plan = self.fault_plan.as_ref().expect("plan present");
-                (
-                    if final_hop {
-                        plan.ack_loss_prob
-                    } else {
-                        plan.message_loss[c.index()]
-                    },
-                    plan.stuck_prob,
-                    plan.jitter_range_ms,
-                    plan.spike_prob,
-                    plan.spike_ms,
-                    plan.hop_timeout,
-                )
+        let held = if final_hop && self.payments[self.units[uid].payment].griefing {
+            let plan = self
+                .overload_plan
+                .as_ref()
+                .expect("griefing payments exist only under an overload plan");
+            Some((DropReason::HopTimeout, plan.griefing_hold))
+        } else if let Some(plan) = self.fault_plan.as_ref() {
+            let loss_p = if final_hop {
+                plan.ack_loss_prob
+            } else {
+                plan.message_loss[c.index()]
             };
             let lost = self.fault_rng.chance(loss_p);
-            let stuck = !lost && self.fault_rng.chance(stuck_p);
+            let stuck = !lost && self.fault_rng.chance(plan.stuck_prob);
             if lost || stuck {
+                self.metrics.fault_injected();
                 let reason = if lost {
                     DropReason::MessageLost
                 } else {
                     DropReason::HopTimeout
                 };
-                self.metrics.fault_injected();
-                let ev = self.schedule(
-                    self.now + hop_timeout,
-                    EventKind::HopTimeout { unit: uid, reason },
-                );
-                self.units[uid].hop_event = Some(ev);
-                return;
-            }
-            if !final_hop {
-                if let Some([lo, hi]) = jitter {
-                    let ms = lo + self.fault_rng.uniform() * (hi - lo);
-                    hop_delay += spider_types::SimDuration::from_secs_f64(ms / 1000.0);
+                Some((reason, plan.hop_timeout))
+            } else {
+                if !final_hop {
+                    if let Some([lo, hi]) = plan.jitter_range_ms {
+                        let ms = lo + self.fault_rng.uniform() * (hi - lo);
+                        hop_delay += spider_types::SimDuration::from_secs_f64(ms / 1000.0);
+                    }
+                    if self.fault_rng.chance(plan.spike_prob) {
+                        hop_delay +=
+                            spider_types::SimDuration::from_secs_f64(plan.spike_ms / 1000.0);
+                    }
                 }
-                if self.fault_rng.chance(spike_p) {
-                    hop_delay += spider_types::SimDuration::from_secs_f64(spike_ms / 1000.0);
-                }
+                None
             }
+        } else {
+            None
+        };
+        if let Some((reason, after)) = held {
+            let ev = self.schedule(
+                self.now + after,
+                EventKind::HopTimeout { unit: uid, reason },
+            );
+            self.units[uid].hop_event = Some(ev);
+            return;
         }
         if final_hop {
             let ev = self.schedule(
@@ -1972,7 +1961,7 @@ impl Simulation {
         // This event just fired; it is no longer cancelable.
         self.units[uid].hop_event = None;
         let pid = self.units[uid].payment;
-        if self.payments[pid].expired || self.now > self.payments[pid].deadline {
+        if self.payments[pid].lapsed(self.now) {
             self.drop_unit(uid, DropReason::Expired);
             return;
         }
@@ -1985,24 +1974,33 @@ impl Simulation {
             return;
         }
         let (c, d) = self.units[uid].entry.hops()[self.units[uid].next_hop];
-        let amount = self.units[uid].amount;
         if self.channels[c.index()].is_closed() {
             // The next hop closed while the unit was traveling toward it.
             self.drop_unit(uid, DropReason::ChannelClosed);
-            return;
-        }
-        let queue_len = self.queues[c.index()][d.index()].len();
-        if queue_len == 0 && self.channels[c.index()].available(d) >= amount {
-            self.lock_hop(uid, spider_types::SimDuration::ZERO);
-        } else if queue_len >= self.qcfg.as_ref().expect("queueing mode").max_queue_units {
+        } else if !self.offer_hop(uid, c, d) {
+            // The hop's queue is full.
             if self.config.shedding {
                 self.shed_into_queue(uid, c, d);
             } else {
                 self.drop_unit(uid, DropReason::QueueOverflow);
             }
-        } else {
-            self.enqueue_unit(uid, c, d);
         }
+    }
+
+    /// Offers a unit its next hop `(c, d)`: it crosses at once when the
+    /// queue is empty and the balance suffices, else joins the queue when
+    /// there is room. Returns `false`, leaving the unit untouched, when
+    /// the queue is full.
+    fn offer_hop(&mut self, uid: usize, c: ChannelId, d: Direction) -> bool {
+        let queue_len = self.queues[c.index()][d.index()].len();
+        if queue_len == 0 && self.channels[c.index()].available(d) >= self.units[uid].amount {
+            self.lock_hop(uid, spider_types::SimDuration::ZERO);
+        } else if queue_len < self.qcfg.as_ref().expect("queueing mode").max_queue_units {
+            self.enqueue_unit(uid, c, d);
+        } else {
+            return false;
+        }
+        true
     }
 
     /// Deadline-aware shedding: the queue at `(c, d)` is full. Among the
@@ -2028,14 +2026,8 @@ impl Simulation {
         // The eviction's refunds can cascade (upstream queues drain,
         // drop, refund further); re-admit the newcomer against the
         // queue's state as it stands now.
-        let amount = self.units[uid].amount;
-        let queue_len = self.queues[c.index()][d.index()].len();
-        if queue_len == 0 && self.channels[c.index()].available(d) >= amount {
-            self.lock_hop(uid, spider_types::SimDuration::ZERO);
-        } else if queue_len >= self.qcfg.as_ref().expect("queueing mode").max_queue_units {
+        if !self.offer_hop(uid, c, d) {
             self.drop_unit(uid, DropReason::Shed);
-        } else {
-            self.enqueue_unit(uid, c, d);
         }
     }
 
@@ -2048,7 +2040,7 @@ impl Simulation {
         // This event just fired; it is no longer cancelable.
         self.units[uid].hop_event = None;
         let pid = self.units[uid].payment;
-        if self.payments[pid].expired || self.now > self.payments[pid].deadline {
+        if self.payments[pid].lapsed(self.now) {
             self.drop_unit(uid, DropReason::Expired);
             return;
         }
@@ -2061,31 +2053,7 @@ impl Simulation {
             released.push_back((c, d.reverse()));
         }
         self.drain_scratch = released;
-        if let Some(attr) = self.attribution.as_mut() {
-            // The delivered path's binding constraint: minimum post-settle
-            // availability in the traversed direction, lowest id on ties.
-            let bottleneck = entry
-                .hops()
-                .iter()
-                .map(|&(c, d)| (self.channels[c.index()].available(d), c.0))
-                .min();
-            if let Some((_, c)) = bottleneck {
-                attr.bottleneck(c as usize);
-            }
-        }
         self.units[uid].done = true;
-        let p = &mut self.payments[pid];
-        p.inflight -= amount;
-        p.delivered += amount;
-        self.metrics.unit_settled(amount, self.now);
-        let completed = if p.delivered == p.total {
-            p.completed = true;
-            let latency = self.now - p.arrival;
-            self.metrics.payment_completed(p.total, latency);
-            Some(latency)
-        } else {
-            None
-        };
         if let Some(t) = self.trace.as_mut() {
             t.record(
                 self.now.micros(),
@@ -2093,16 +2061,8 @@ impl Simulation {
                     unit: self.unit_trace_ids[uid],
                 },
             );
-            if let Some(latency) = completed {
-                t.record(
-                    self.now.micros(),
-                    TraceEventKind::PaymentCompleted {
-                        payment: PaymentId(pid as u64),
-                        latency_us: latency.micros(),
-                    },
-                );
-            }
         }
+        self.credit_unit(pid, amount, &entry);
         self.ack_unit(uid, true);
         self.retire_unit(uid);
         self.drain_from_scratch();
@@ -2202,45 +2162,33 @@ impl Simulation {
             self.cancel_event(ev);
         }
         let entry = Rc::clone(&self.units[uid].entry);
-        // Remove from its current queue, if present.
         let next = self.units[uid].next_hop;
-        if next < entry.hop_count() {
-            let (c, d) = entry.hops()[next];
+        // The failing hop is the one the unit was queued at or traveling
+        // toward; a unit that had fully locked its path has none.
+        let failing = entry.hops().get(next).copied();
+        if let Some((c, d)) = failing {
+            // Leave that hop's queue, if queued there.
             let q = &mut self.queues[c.index()][d.index()];
             let before = q.len();
             q.retain(|&q| q != uid);
             self.queued_units_total -= before - q.len();
+            // A unit that never finished locking its path counts as a
+            // failed lock; one that fully locked was already counted as a
+            // success (it reached the destination) and is only dropped.
+            self.metrics.unit_lock(entry.hop_count(), false);
         }
         let amount = self.units[uid].amount;
         for &(c, d) in &entry.hops()[..next] {
             self.channels[c.index()].refund(d, amount);
             out.push_back((c, d));
         }
-        self.units[uid].done = true;
-        self.units[uid].stamp.marked = true;
-        self.units[uid].drop_reason = Some(reason);
-        let pid = self.units[uid].payment;
+        let u = &mut self.units[uid];
+        u.done = true;
+        u.stamp.marked = true;
+        u.drop_reason = Some(reason);
+        let (pid, path) = (u.payment, u.path);
         self.payments[pid].inflight -= amount;
-        if reason == DropReason::ChannelClosed {
-            self.payments[pid].churn_hit = true;
-            self.metrics.unit_dropped_churn();
-        }
-        // A unit that never finished locking its path counts as a failed
-        // lock; one that fully locked was already counted as a success
-        // (it reached the destination) and is only recorded as dropped.
-        if next < entry.hop_count() {
-            self.metrics.unit_lock(entry.hop_count(), false);
-        }
-        self.metrics.unit_dropped(reason);
-        // The failing hop is the one the unit was queued at or traveling
-        // toward; a unit that had fully locked its path has none.
-        let failing_hop = (next < entry.hop_count()).then(|| entry.hops()[next].0);
-        if let Some(c) = failing_hop {
-            if let Some(attr) = self.attribution.as_mut() {
-                attr.drop_at(c.index());
-            }
-        }
-        self.forensic_drop(pid, self.units[uid].path, failing_hop, reason);
+        self.record_drop(pid, path, failing.map(|(c, _)| c), reason);
         if let Some(t) = self.trace.as_mut() {
             t.record(
                 self.now.micros(),
@@ -2251,12 +2199,6 @@ impl Simulation {
             );
         }
         self.ack_unit(uid, false);
-        // The returned value made part of the payment unassigned again;
-        // make sure the pending queue will retry it (the payment may have
-        // been fully in flight and therefore absent from the queue).
-        if self.payments[pid].active() {
-            self.pending_push(pid);
-        }
         self.retire_unit(uid);
     }
 
@@ -2284,8 +2226,10 @@ impl Simulation {
         // The failing hop of a dropped unit, mirroring the forensics
         // attribution: the channel it was queued at or traveling toward.
         // A unit that fully locked its path (expiry/griefing) has none.
-        let drop_channel = (u.drop_reason.is_some() && u.next_hop < u.entry.hop_count())
-            .then(|| u.entry.hops()[u.next_hop].0);
+        let drop_channel = u
+            .drop_reason
+            .and(u.entry.hops().get(u.next_hop))
+            .map(|&(c, _)| c);
         let ack = UnitAck {
             payment: PaymentId(u.payment as u64),
             path: u.path,
@@ -2296,13 +2240,7 @@ impl Simulation {
             drop_channel,
             rtt: self.now - u.injected_at,
         };
-        let view = NetworkView {
-            topo: &self.topo,
-            channels: &self.channels,
-            paths: &self.paths,
-            now: self.now,
-        };
-        self.router.on_unit_ack(&ack, &view);
+        self.router.on_unit_ack(&ack, &view!(self));
         if let Some(t) = self.trace.as_mut() {
             t.record(
                 self.now.micros(),
@@ -2330,7 +2268,7 @@ impl Simulation {
         while let Some((c, d)) = work.pop_front() {
             while let Some(&uid) = self.queues[c.index()][d.index()].front() {
                 let pid = self.units[uid].payment;
-                if self.payments[pid].expired || self.now > self.payments[pid].deadline {
+                if self.payments[pid].lapsed(self.now) {
                     self.queues[c.index()][d.index()].pop_front();
                     self.queued_units_total -= 1;
                     self.drop_unit_collect(uid, DropReason::Expired, &mut work);
@@ -2556,13 +2494,7 @@ impl Simulation {
                 },
             );
         }
-        let view = NetworkView {
-            topo: &self.topo,
-            channels: &self.channels,
-            paths: &self.paths,
-            now: self.now,
-        };
-        self.router.on_topology_change(&update, &view);
+        self.router.on_topology_change(&update, &view!(self));
     }
 
     /// Applies one [`TopologyChange`], recording what actually toggled in
@@ -2681,40 +2613,24 @@ impl Simulation {
             }
             for &id in &hit {
                 let id = id as usize;
-                // Cancel in place (the calendar entry reclaims the slot)
-                // and unwind the unit's locks.
                 let Some(EventKind::Settle {
                     payment,
                     amount,
                     path,
-                }) = self.event_store[id].take()
+                }) = self.event_store[id]
                 else {
                     unreachable!("settle index entries are validated live");
                 };
-                self.live_events -= 1;
-                let entry = self.paths.entry(path);
-                for &(c, dir) in entry.hops() {
-                    self.channels[c.index()].refund(dir, amount);
-                    self.settle_index.note_removed(c.index());
-                }
-                let p = &mut self.payments[payment];
-                p.inflight -= amount;
-                p.churn_hit = true;
-                // Counted in both the total and the churn-specific drop
-                // counters, so `units_dropped_churn <= units_dropped`
-                // holds in every engine mode.
-                self.metrics.unit_dropped(DropReason::ChannelClosed);
-                self.metrics.unit_dropped_churn();
-                if let Some(attr) = self.attribution.as_mut() {
-                    attr.drop_at(ci);
-                }
-                self.forensic_drop(payment, path, Some(channel), DropReason::ChannelClosed);
+                // Cancel in place (the calendar entry reclaims the slot)
+                // and unwind the unit's locks.
+                self.cancel_event(id);
+                self.unindex_settle(path);
                 if atomic {
                     // All-or-nothing schemes cannot partially retry.
                     self.payments[payment].expired = true;
-                } else if self.payments[payment].active() {
-                    self.pending_push(payment);
                 }
+                let reason = Some(DropReason::ChannelClosed);
+                self.refund_unit(payment, amount, path, reason, Some(channel));
             }
             self.close_scratch = hit;
         }

@@ -10,7 +10,9 @@
 
 use proptest::prelude::*;
 use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
-use spider_sim::{DropRecord, FlightRecorder, SimConfig, SizeDistribution, WorkloadConfig};
+use spider_sim::{
+    DropRecord, FlightRecorder, SimConfig, SimReport, SizeDistribution, WorkloadConfig,
+};
 use spider_types::{DropReason, SimDuration};
 use std::path::PathBuf;
 
@@ -52,6 +54,15 @@ fn faulted_tiny_experiment(seed: u64) -> ExperimentConfig {
     }
 }
 
+/// Runs `cfg` with a 65,536-drop flight recorder and returns the report
+/// with the sealed recorder.
+fn run_forensics(cfg: &ExperimentConfig) -> (SimReport, FlightRecorder) {
+    let mut cfg = cfg.clone();
+    cfg.sim.obs.forensics_capacity = 65_536;
+    let run = cfg.simulate(None).expect("runs");
+    (run.report, run.forensics.expect("forensics was enabled"))
+}
+
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/goldens")
@@ -89,8 +100,8 @@ fn check_golden(name: &str, content: &str) {
 #[test]
 fn fault_injected_forensics_is_reproducible_and_matches_golden() {
     let cfg = faulted_tiny_experiment(11);
-    let (r1, f1) = cfg.run_forensics().expect("runs");
-    let (r2, f2) = cfg.run_forensics().expect("runs");
+    let (r1, f1) = run_forensics(&cfg);
+    let (r2, f2) = run_forensics(&cfg);
     assert_eq!(r1.units_dropped, r2.units_dropped);
     assert_eq!(
         f1.to_jsonl(),
@@ -143,7 +154,7 @@ fn fault_injected_forensics_is_reproducible_and_matches_golden() {
 #[test]
 fn recorder_totals_partition_the_report_breakdown() {
     let cfg = faulted_tiny_experiment(11);
-    let (r, f) = cfg.run_forensics().expect("runs");
+    let (r, f) = run_forensics(&cfg);
     let d = &r.drops_by_reason;
     for reason in DropReason::ALL {
         assert_eq!(f.reason_total(reason), d.get(reason), "{reason:?}");

@@ -77,11 +77,12 @@ fn protocol_matches_or_beats_windowed_aimd_baseline() {
         cfg.sim.queueing = QueueingMode::PerChannelFifo(QueueConfig::default());
         let protocol = cfg.run().expect("protocol runs");
         let windowed: SimReport = cfg
-            .run_with_router(Box::new(Windowed::new(
+            .simulate(Some(Box::new(Windowed::new(
                 ShortestPath::new(),
                 WindowConfig::default(),
-            )))
-            .expect("baseline runs");
+            ))))
+            .expect("baseline runs")
+            .report;
         assert!(
             protocol.success_volume() >= windowed.success_volume(),
             "seed {seed}: protocol {:.4} < windowed {:.4}",

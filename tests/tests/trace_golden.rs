@@ -7,13 +7,17 @@
 //! perturb the simulation itself. Each test renders the trace twice from
 //! independent runs and compares byte-for-byte, then checks the pinned
 //! golden under `tests/goldens/`. Regenerate with `UPDATE_GOLDENS=1` after
-//! an *intentional* trace-schema change.
+//! an *intentional* trace-schema change. A last test checks the trace
+//! misses no unit drop in either engine mode.
 
 use spider_core::congestion::{WindowConfig, Windowed};
 use spider_core::{ExperimentConfig, SchemeConfig, TopologyConfig};
 use spider_routing::ShortestPath;
-use spider_sim::{QueueConfig, QueueingMode, SimConfig, SizeDistribution, Trace, WorkloadConfig};
-use spider_types::SimDuration;
+use spider_sim::{
+    DropBreakdown, QueueConfig, QueueingMode, Router, SimConfig, SimReport, SizeDistribution,
+    Trace, WorkloadConfig,
+};
+use spider_types::{DropReason, SimDuration};
 use std::path::PathBuf;
 
 /// A run small enough that its golden stays a few KB: the 5-node §5.1
@@ -37,6 +41,15 @@ fn tiny_experiment(seed: u64, scheme: SchemeConfig) -> ExperimentConfig {
         overload: None,
         seed,
     }
+}
+
+/// Runs `cfg` with tracing on (against `router` when given) and returns
+/// the report with its sealed trace.
+fn run_traced(cfg: &ExperimentConfig, router: Option<Box<dyn Router>>) -> (SimReport, Trace) {
+    let mut cfg = cfg.clone();
+    cfg.sim.obs.trace = true;
+    let run = cfg.simulate(router).expect("runs");
+    (run.report, run.trace.expect("tracing was enabled"))
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -83,8 +96,8 @@ fn check_golden(name: &str, trace: &Trace) {
 #[test]
 fn lockstep_shortest_path_trace_is_reproducible_and_matches_golden() {
     let cfg = tiny_experiment(11, SchemeConfig::ShortestPath);
-    let (r1, t1) = cfg.run_traced().expect("runs");
-    let (r2, t2) = cfg.run_traced().expect("runs");
+    let (r1, t1) = run_traced(&cfg, None);
+    let (r2, t2) = run_traced(&cfg, None);
     assert_eq!(r1.completed_payments, r2.completed_payments);
     assert_eq!(
         t1.to_jsonl(),
@@ -109,8 +122,8 @@ fn windowed_aimd_trace_is_reproducible_and_matches_golden() {
         ..WindowConfig::default()
     };
     let windowed = || Box::new(Windowed::new(ShortestPath::new(), wcfg.clone()));
-    let (r1, t1) = cfg.run_with_router_traced(windowed()).expect("runs");
-    let (_, t2) = cfg.run_with_router_traced(windowed()).expect("runs");
+    let (r1, t1) = run_traced(&cfg, Some(windowed()));
+    let (_, t2) = run_traced(&cfg, Some(windowed()));
     assert_eq!(
         t1.to_jsonl(),
         t2.to_jsonl(),
@@ -151,8 +164,8 @@ fn fault_injected_trace_is_reproducible_and_matches_golden() {
         }),
         horizon_secs: 4.0,
     });
-    let (r1, t1) = cfg.run_traced().expect("runs");
-    let (r2, t2) = cfg.run_traced().expect("runs");
+    let (r1, t1) = run_traced(&cfg, None);
+    let (r2, t2) = run_traced(&cfg, None);
     assert_eq!(r1.faults_injected, r2.faults_injected);
     assert_eq!(
         t1.to_jsonl(),
@@ -178,8 +191,8 @@ fn fault_injected_trace_is_reproducible_and_matches_golden() {
 fn spider_protocol_trace_is_reproducible_and_matches_golden() {
     let mut cfg = tiny_experiment(11, SchemeConfig::spider_protocol(4));
     cfg.sim.queueing = QueueingMode::PerChannelFifo(QueueConfig::default());
-    let (r1, t1) = cfg.run_traced().expect("runs");
-    let (_, t2) = cfg.run_traced().expect("runs");
+    let (r1, t1) = run_traced(&cfg, None);
+    let (_, t2) = run_traced(&cfg, None);
     assert_eq!(
         t1.to_jsonl(),
         t2.to_jsonl(),
@@ -194,4 +207,79 @@ fn spider_protocol_trace_is_reproducible_and_matches_golden() {
         "protocol machinery never engaged; golden is vacuous"
     );
     check_golden("trace_spider_protocol.jsonl", &t1);
+}
+
+/// Every unit drop is traced, in both engine modes: under churn, faults
+/// and griefing at once, the per-reason counts of `refund` (lockstep)
+/// and `drop` (hop-by-hop) events equal the report's `drops_by_reason`,
+/// less the payment-level admission rejections (traced as `expire`).
+#[test]
+fn every_unit_drop_is_traced_under_churn_faults_and_griefing() {
+    let schemes = [
+        SchemeConfig::SpiderWaterfilling { paths: 4 },
+        SchemeConfig::MaxFlow,
+        SchemeConfig::spider_protocol(4),
+    ];
+    for scheme in schemes {
+        let cfg = ExperimentConfig {
+            topology: TopologyConfig::Isp {
+                capacity_xrp: 2_000,
+            },
+            workload: WorkloadConfig::small(500, 150.0),
+            sim: SimConfig {
+                horizon: SimDuration::from_secs(5),
+                ..SimConfig::default()
+            },
+            scheme,
+            dynamics: Some(spider_dynamics::DynamicsConfig {
+                close_rate_per_sec: 2.0,
+                reopen_mean_secs: Some(1.0),
+                node_leave_rate_per_sec: 0.2,
+                horizon_secs: 5.0,
+                ..spider_dynamics::DynamicsConfig::default()
+            }),
+            faults: Some(spider_faults::FaultConfig {
+                message_loss_prob: 0.02,
+                stuck_unit_prob: 0.01,
+                hop_timeout_secs: 0.25,
+                horizon_secs: 5.0,
+                ..spider_faults::FaultConfig::default()
+            }),
+            overload: Some(spider_overload::OverloadConfig {
+                flash_crowd: None,
+                hot_pairs: None,
+                drain: None,
+                griefing: Some(spider_overload::GriefingConfig {
+                    fraction: 0.05,
+                    hold_secs: 0.5,
+                }),
+                horizon_secs: 5.0,
+            }),
+            seed: 7,
+        };
+        let (report, trace) = run_traced(&cfg, None);
+        let mut traced = DropBreakdown::default();
+        for line in trace.to_jsonl().lines() {
+            let v = serde_json::parse(line).expect("trace line is valid JSON");
+            if !matches!(v["ev"].as_str(), Some("refund" | "drop")) {
+                continue;
+            }
+            let name = v["reason"].as_str().expect("drop events carry a reason");
+            let reason = DropReason::ALL
+                .into_iter()
+                .find(|r| r.name() == name)
+                .expect("reason spelled as DropReason::name");
+            *traced.slot_mut(reason) += 1;
+        }
+        let mut want = report.drops_by_reason;
+        want.admission_rejected = 0;
+        assert_eq!(traced, want, "{}: traced drops != report", report.scheme);
+        let d = &report.drops_by_reason;
+        assert!(
+            d.channel_closed > 0,
+            "{}: churn failed no unit",
+            report.scheme
+        );
+        assert!(d.fault_total() > 0, "{}: no fault landed", report.scheme);
+    }
 }
